@@ -12,8 +12,6 @@ from fractions import Fraction
 from pfkit import (
     DyadicSet,
     DyadicStepFunction,
-    doubling_image,
-    doubling_preimage,
     exactness_profile,
     image_measure_profile,
     transfer_apply,
@@ -25,9 +23,9 @@ F = Fraction
 b = DyadicSet.from_pairs([(F(0), F(1, 4))])
 print("B =", b.intervals, "measure", b.measure, "level", b.level)
 
-print("image:", doubling_image(b).intervals)
-print("preimage:", doubling_preimage(b).intervals)
-assert doubling_preimage(b).measure == b.measure  # measure preservation
+print("image:", b.image().intervals)
+print("preimage:", b.preimage().intervals)
+assert b.preimage().measure == b.measure  # measure preservation
 
 # --- transfer powers flatten indicators -------------------------------------
 f = DyadicStepFunction.indicator(b)

@@ -9,7 +9,6 @@ makes it a good tour of the full decision surface.
 from fractions import Fraction
 
 from pfkit import (
-    class_of,
     classify,
     invariant_algebra,
     lower_bound_defect,
@@ -43,7 +42,7 @@ assert report.limit_class == star.algebra_class()
 
 # {1} is already invariant, and its class differs from the full space
 a1 = space.set_of(["1"])
-assert class_of(a1) != class_of(space.full_set())
+assert a1.algebra_class() != space.full_set().algebra_class()
 
 # --- operator powers and algebras ------------------------------------------
 p = transfer_operator(phi)

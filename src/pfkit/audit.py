@@ -12,6 +12,12 @@ to positions of positive/negative parts.  Each reduction is an algebraic
 identity, not an approximation, and every audit also replays a seeded
 sample of subsets through the object-level implementations so the fast
 path and the production path check each other.
+
+The only dynamics the audits compute for themselves are the per-atom
+forward walks of `_BitSystem` and the bitmask tables derived from them.
+Everything else (the invariant algebra, tail algebra, set orbits, invariant
+saturations, operators and defects) comes from calling the production code
+under audit, never from a private copy of it.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Callable, Sequence
 
@@ -211,11 +218,16 @@ def _bits_table(per_atom: Sequence[int]) -> np.ndarray:
 
 
 class _BitSystem:
-    """Precomputed bitmask machinery for one system."""
+    """The audit's own route to one system's dynamics: per-atom forward walks.
+
+    Each atom is followed through `phi.targets` until it repeats.  The walks
+    deliberately avoid `iterate_atom`, `set_orbit` and `preimage_algebra`,
+    since those are the production routes the audits check them against.
+    Cycle masks, n-step preimage fibers and the orbit encodings are derived
+    from the walks; masses and masks are read off the space.
+    """
 
     def __init__(self, space: FiniteProbabilitySpace, phi: MeasurePreservingMap):
-        self.space = space
-        self.phi = phi
         self.k = space.atom_count
         self.Q = space.common_denominator
         self.m = space.integer_masses
@@ -244,40 +256,19 @@ class _BitSystem:
         for length in cycles:
             self.joint_period = lcm(self.joint_period, length)
 
-        parent = list(range(self.k))
+        # positive atoms are permuted, so the walk of one is its whole cycle
+        self.cycle_masks = {
+            sum(1 << x for x in walks[a]) for a in space.positive_support
+        }
 
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
+    @cached_property
+    def subsets(self) -> np.ndarray:
+        """Every subset bitmask of the atoms, for the exhaustive checks."""
+        return np.arange(1 << self.k, dtype=np.int64)
 
-        for x, y in enumerate(phi.targets):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-        comp_bits = [0] * self.k
-        roots: dict[int, int] = {}
-        for a in range(self.k):
-            roots.setdefault(find(a), 0)
-            roots[find(a)] |= 1 << a
-        for a in range(self.k):
-            comp_bits[a] = roots[find(a)]
-        self.comp_bits = comp_bits
-
-        # permutation cycles over the positive atoms, as atom bitmasks
-        cyc_masks: list[int] = []
-        left = set(space.positive_support)
-        while left:
-            start = min(left)
-            mask = 0
-            x = start
-            while x in left:
-                left.remove(x)
-                mask |= 1 << x
-                x = phi.targets[x]
-            cyc_masks.append(mask)
-        self.cycle_masks = cyc_masks
+    @cached_property
+    def mass_table(self) -> np.ndarray:
+        return _mass_table(self.m)
 
     def atom_at(self, a: int, n: int) -> int:
         walk = self.atom_walk[a]
@@ -286,29 +277,12 @@ class _BitSystem:
         p, cy = self.atom_pre[a], self.atom_cycle[a]
         return walk[p + (n - p) % cy]
 
-    def image_bits_at(self, bits: int, n: int) -> int:
-        out = 0
-        while bits:
-            low = bits & -bits
-            out |= 1 << self.atom_at(low.bit_length() - 1, n)
-            bits ^= low
-        return out
-
     def preimage_atom_bits_at(self, n: int) -> list[int]:
         """Per-atom bitmasks of the n-step preimage fibers."""
-        per_atom = [1 << a for a in range(self.k)]
-        fiber1 = self.phi.preimage_atom_bits
-        for _ in range(n):
-            nxt = []
-            for bits in per_atom:
-                acc = 0
-                while bits:
-                    low = bits & -bits
-                    acc |= fiber1[low.bit_length() - 1]
-                    bits ^= low
-                nxt.append(acc)
-            per_atom = nxt
-        return per_atom
+        fibers = [0] * self.k
+        for x in range(self.k):
+            fibers[self.atom_at(x, n)] |= 1 << x
+        return fibers
 
     def orbit_bigs(self) -> tuple[list[int], int, int]:
         """Per-atom concatenation of masked orbit cells over one joint cycle.
@@ -402,13 +376,13 @@ def _audit_convergence_one(index: int, system: System, rec: _Recorder, rng: Spli
     route_power = matrix_report.converges
 
     tail, _ = tail_algebra(phi)
-    route_tail = completions_equal(tail, invariant_algebra(phi))
+    inv = invariant_algebra(phi)
+    route_tail = completions_equal(tail, inv)
 
     exhaustive = bs.k <= EXHAUSTIVE_ATOM_LIMIT
     if exhaustive:
         bigs, chunk_mask, tail_mask = bs.orbit_bigs()
         orbit_table = _or_table(bigs)
-        comp_table = _or_table(bs.comp_bits)
         route_sets = True
         first_bad = None
         for a_bits in range(1 << bs.k):
@@ -440,9 +414,8 @@ def _audit_convergence_one(index: int, system: System, rec: _Recorder, rng: Spli
         if limit is None or not limit.is_identity:
             rec.fail(index, "limit-not-identity", "convergent powers, limit != I")
             return
-        pos_comps = sorted(
-            {cb & bs.posmask for cb in bs.comp_bits if cb & bs.posmask}
-        )
+        comp_table = _or_table([inv.block_bits[b] for b in inv.block_of_atom])
+        pos_comps = sorted({b & bs.posmask for b in inv.block_bits} - {0})
         for a_bits in range(1 << bs.k):
             x = orbit_table[a_bits]
             limit_class = x & chunk_mask
@@ -485,9 +458,7 @@ def _audit_convergence_one(index: int, system: System, rec: _Recorder, rng: Spli
                 rec.fail(index, "limit-class-replay", f"A={a_bits:#x}")
         if route_power:
             dens_report = density_power_sequence(p_matrix, indicator(space, a_set))
-            expectation = conditional_expectation(
-                space, invariant_algebra(phi), indicator(space, a_set)
-            )
+            expectation = conditional_expectation(space, inv, indicator(space, a_set))
             if not dens_report.converges or dens_report.limit != expectation:
                 rec.fail(index, "density-replay", f"A={a_bits:#x}")
 
@@ -505,16 +476,19 @@ def _audit_lower_bound_one(index: int, system: System, rec: _Recorder, rng: Spli
     # when the pointwise cycle minimum of P^n 1_B is positive somewhere,
     # i.e. when B contains a full permutation cycle of positive atoms.
     if bs.k <= EXHAUSTIVE_ATOM_LIMIT:
-        subs = np.arange(1 << bs.k, dtype=np.int64)
-        mass = _mass_table(bs.m)
+        subs = bs.subsets
         has_cycle = np.zeros(subs.shape, dtype=bool)
         for cm in bs.cycle_masks:
             has_cycle |= (subs & cm) == cm
-        route_witness = bool(np.all(has_cycle[mass > 0]))
+        route_witness = bool(np.all(has_cycle[bs.mass_table > 0]))
     else:
+        # A positive singleton holds a full cycle exactly when it is a fixed
+        # point, so the singletons alone decide the route; the samples are
+        # still drawn so that the rng stream stays the same.
+        samples = _sample_subsets(rng, bs.full, SAMPLED_SUBSETS)
         route_witness = True
-        for b_bits in _sample_subsets(rng, bs.full, SAMPLED_SUBSETS):
-            if not bs.space.measure_bits(b_bits):
+        for b_bits in [1 << a for a in space.positive_support] + samples:
+            if not space.measure_bits(b_bits):
                 continue
             if not any((b_bits & cm) == cm for cm in bs.cycle_masks):
                 route_witness = False
@@ -547,8 +521,7 @@ def _audit_lower_bound_one(index: int, system: System, rec: _Recorder, rng: Spli
 
     if bs.k > EXHAUSTIVE_ATOM_LIMIT:
         return
-    mass = _mass_table(bs.m)
-    subs = np.arange(1 << bs.k, dtype=np.int64)
+    mass = bs.mass_table
     for c in (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2)):
         b_bits = rng.next_u64() & bs.full
         d_bits = rng.next_u64() & bs.full
@@ -560,7 +533,7 @@ def _audit_lower_bound_one(index: int, system: System, rec: _Recorder, rng: Spli
         )
         pre_table = _bits_table(bs.preimage_atom_bits_at(n))
         values = c.denominator * mass[pre_table & b_bits] - c.numerator * mass[
-            subs & d_bits
+            bs.subsets & d_bits
         ]
         brute = Fraction(int(values.min()), c.denominator * bs.Q)
         if brute != closed:
@@ -625,8 +598,8 @@ def _audit_uniform_one(index: int, system: System, rec: _Recorder, rng: SplitMix
             if trace_mixing_defect(phi, b_set, full_set, n) != 0:
                 rec.fail(index, "trace-exact", f"n={n}")
     elif bs.k <= EXHAUSTIVE_ATOM_LIMIT:
-        subs = np.arange(1 << bs.k, dtype=np.int64)
-        mass = _mass_table(bs.m)
+        subs = bs.subsets
+        mass = bs.mass_table
         vanishes = np.ones(subs.shape, dtype=bool)
         for j in range(bs.joint_period):
             s_bits = 1 << bs.atom_at(b_atom, bs.joint_pre + j)
@@ -652,8 +625,8 @@ def _audit_uniform_one(index: int, system: System, rec: _Recorder, rng: SplitMix
         return
 
     # brute-force suprema over every subset, vs the closed forms
-    subs = np.arange(1 << bs.k, dtype=np.int64)
-    mass = _mass_table(bs.m)
+    subs = bs.subsets
+    mass = bs.mass_table
     for _ in range(2):
         b_bits = rng.next_u64() & bs.full
         n = rng.randrange(3)
@@ -789,16 +762,11 @@ def _audit_structural_one(index: int, system: System, rec: _Recorder, rng: Split
     # support inclusions: supp P^m 1_A inside phi^m(A) and inside the
     # positive part of the invariant saturation of A
     samples = [1 << a for a in pos] + [rng.next_u64() & bs.full for _ in range(4)]
-    comp_table = _or_table(bs.comp_bits) if bs.k <= EXHAUSTIVE_ATOM_LIMIT else None
     for a_bits in samples:
-        f = indicator(space, space.set_from_bits(a_bits))
+        a_set = space.set_from_bits(a_bits)
+        f = indicator(space, a_set)
         supp = f.support_bits()
-        sat_pos = (
-            comp_table[a_bits] & bs.posmask
-            if comp_table is not None
-            else minimal_invariant_superset(phi, space.set_from_bits(a_bits)).bits
-            & bs.posmask
-        )
+        sat_pos = minimal_invariant_superset(phi, a_set).bits & bs.posmask
         image_bits = a_bits
         for m_step in range(2 * bs.k + 1):
             if supp & ~(image_bits & bs.posmask):

@@ -1,25 +1,26 @@
 """Command line front end.
 
-Results go to stdout as JSON or CSV; structurally invalid input exits 2
-with a one-line JSON error object, and an audit that finds failures exits
-1 so shell pipelines can gate on it.
+Results go to stdout as JSON or CSV.  An audit that finds failures exits
+1 so shell pipelines can gate on it; invalid input exits 2 and a defect of
+the toolkit itself exits 3, both with a one-line JSON error object.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
+from contextlib import contextmanager
 from functools import wraps
 from pathlib import Path
 
 import click
 
+from . import __version__
 from . import dyadic as dy
 from . import ulam as ul
 from .audit import AUDIT_NAMES, run_audit
 from .dynamics import set_orbit
-from .errors import ParseError, PfkitError
+from .errors import DiagnosticInconsistencyError, ParseError, PeriodDetectionError, PfkitError
 from .mixing import classify, image_mixing_defect, lower_bound_defect, trace_mixing_defect, uniform_mixing_defect
 from .operators import power_sequence, transfer_operator
 from .space import class_distance
@@ -50,14 +51,18 @@ def _fail(exc: Exception, code: int) -> None:
 
 
 def guarded(fn):
+    """Exit 2 for bad input and 3 for a defect of the toolkit itself."""
+
     @wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except PfkitError as exc:
+        except (DiagnosticInconsistencyError, PeriodDetectionError) as exc:
+            _fail(exc, 3)
+        except (PfkitError, OSError, ValueError) as exc:
             _fail(exc, 2)
-        except (OSError, ValueError) as exc:
-            _fail(exc, 2)
+        except Exception as exc:
+            _fail(exc, 3)
 
     return wrapper
 
@@ -75,12 +80,18 @@ def _resolve_set(space, named, spec: str):
     return space.set_of(labels)
 
 
-def _open_out(out: str | None):
-    return Path(out).open("w", newline="") if out else sys.stdout
+@contextmanager
+def _output(out: str | None):
+    """The file named by --out, closed afterwards, or stdout when unset."""
+    if not out:
+        yield sys.stdout
+        return
+    with Path(out).open("w", newline="") as handle:
+        yield handle
 
 
 @click.group()
-@click.version_option(package_name="pfkit")
+@click.version_option(version=__version__)
 def main() -> None:
     """Exact convergence diagnostics for finite measure-preserving systems."""
 
@@ -138,12 +149,8 @@ def orbit_cmd(system_file: str, set_spec: str, direction: str, steps: int | None
         if report.limit_class is not None:
             dist = class_distance(s.algebra_class(), report.limit_class)
         rows.append((n, sorted(s.labels()), s.measure, dist))
-    handle = _open_out(out)
-    try:
+    with _output(out) as handle:
         write_orbit_csv(handle, rows)
-    finally:
-        if out:
-            handle.close()
 
 
 @main.command("limit")
@@ -159,12 +166,8 @@ def limit_cmd(system_file: str, fmt: str, out: str | None) -> None:
     if fmt == "csv":
         if report.limit is None:
             raise ParseError("powers do not converge; no limit matrix to export")
-        handle = _open_out(out)
-        try:
+        with _output(out) as handle:
             write_matrix_csv(handle, report.limit)
-        finally:
-            if out:
-                handle.close()
         return
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -218,12 +221,8 @@ def mixing_profile_cmd(
         defects = [lower_bound_defect(phi, b, d, c, n) for n in range(n_max + 1)]
     else:
         defects = [image_mixing_defect(phi, b, n) for n in range(n_max + 1)]
-    handle = _open_out(out)
-    try:
+    with _output(out) as handle:
         write_profile_csv(handle, defects)
-    finally:
-        if out:
-            handle.close()
 
 
 def _parse_dyadic_set(text: str) -> dy.DyadicSet:
@@ -260,12 +259,8 @@ def dyadic_cmd(set_spec: str, kind: str, n_max: int | None, out: str | None) -> 
         defects = dy.exactness_profile(target, steps)
     else:
         defects = [dy.image_defect(target, n) for n in range(steps + 1)]
-    handle = _open_out(out)
-    try:
+    with _output(out) as handle:
         write_profile_csv(handle, defects)
-    finally:
-        if out:
-            handle.close()
 
 
 @main.command("ulam")

@@ -165,14 +165,6 @@ class DyadicSet:
         return parts or "(empty)"
 
 
-def doubling_image(a: DyadicSet) -> DyadicSet:
-    return a.image()
-
-
-def doubling_preimage(a: DyadicSet) -> DyadicSet:
-    return a.preimage()
-
-
 @dataclass(frozen=True)
 class DyadicStepFunction:
     """A function constant on the 2^level cells of a dyadic grid.

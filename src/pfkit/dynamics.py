@@ -135,13 +135,6 @@ class MeasurePreservingMap:
         return f"MeasurePreservingMap({arrows})"
 
 
-def check_measure_preserving(
-    space: FiniteProbabilitySpace, targets: Iterable[int]
-) -> MeasurePreservingMap:
-    """Validate a target list; raises NotMeasurePreservingError on failure."""
-    return MeasurePreservingMap(space, tuple(targets))
-
-
 @dataclass(frozen=True)
 class SigmaSubAlgebra:
     """A sub-sigma-algebra of the power set, stored as its atom partition.
@@ -221,9 +214,8 @@ class SigmaSubAlgebra:
         """
         self.space._require_same(coarser.space)
         owner = self.block_of_atom
+        blk = self.block_bits
         for block in coarser.blocks:
-            first = owner[block[0]]
-            blk = self.block_bits
             bits = 0
             for i in block:
                 bits |= 1 << i
@@ -242,15 +234,8 @@ class SigmaSubAlgebra:
         splits every null atom into its own singleton block.
         """
         posmask = self.space.positive_mask
-        blocks: list[tuple[int, ...]] = []
-        for block in self.blocks:
-            kept = tuple(i for i in block if posmask >> i & 1)
-            if kept:
-                blocks.append(kept)
-            for i in block:
-                if not posmask >> i & 1:
-                    blocks.append((i,))
-        return SigmaSubAlgebra.from_blocks(self.space, blocks)
+        nulls = [(i,) for i in range(self.space.atom_count) if not posmask >> i & 1]
+        return SigmaSubAlgebra.from_blocks(self.space, [*self.positive_blocks(), *nulls])
 
     def positive_blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks intersected with the positive support, empty ones dropped."""
@@ -261,10 +246,6 @@ class SigmaSubAlgebra:
             if kept:
                 out.append(kept)
         return tuple(sorted(out, key=lambda b: b[0]))
-
-
-def completion_mod_null(algebra: SigmaSubAlgebra) -> SigmaSubAlgebra:
-    return algebra.completion()
 
 
 def completions_equal(a: SigmaSubAlgebra, b: SigmaSubAlgebra) -> bool:

@@ -5,7 +5,7 @@ vanish in L1 and are dropped.  The transfer operator moves mass forward
 through the map, its adjoint composes with the map, and both are bi-Markov.
 Power sequences are detected exactly: for permutation-structured matrices
 the period is the lcm of the cycle lengths, and anything else falls back to
-hashing with a step budget.
+hashing within MAX_STEPS steps.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from .space import (
     ZERO,
     Density,
     FiniteProbabilitySpace,
-    MeasurableSet,
     MeasureAlgebraClass,
 )
+
+MAX_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,7 @@ class MarkovMatrix:
         )
         return MarkovMatrix(self.space, rows)
 
-    def __matmul__(self, other: "MarkovMatrix") -> "MarkovMatrix":
-        return self.compose(other)
+    __matmul__ = compose
 
     def adjoint(self) -> "MarkovMatrix":
         """The adjoint for the weighted pairing: B[j][i] = w_i A[i][j] / w_j."""
@@ -218,12 +218,12 @@ def _matrix_key(m: MarkovMatrix) -> tuple:
     return tuple(tuple((v.numerator, v.denominator) for v in row) for row in m.entries)
 
 
-def power_sequence(m: MarkovMatrix, max_steps: int | None = None) -> LimitReport:
+def power_sequence(m: MarkovMatrix) -> LimitReport:
     """Exact eventual periodicity of (M^n) starting from M^0 = I.
 
     Permutation-structured matrices get the analytic answer: powers repeat
     with period lcm(cycle lengths) and no preperiod.  Other matrices are
-    hashed step by step under a budget.
+    hashed step by step for at most MAX_STEPS steps.
     """
     perm = m.permutation_structure()
     if perm is not None:
@@ -232,10 +232,8 @@ def power_sequence(m: MarkovMatrix, max_steps: int | None = None) -> LimitReport
         return LimitReport(
             converges, 0, period, identity_matrix(m.space) if converges else None
         )
-    if max_steps is None:
-        max_steps = 4096
     ident = identity_matrix(m.space)
-    pre, period, seq = _detect_cycle(ident, lambda x: x @ m, _matrix_key, max_steps)
+    pre, period, seq = _detect_cycle(ident, lambda x: x @ m, _matrix_key, MAX_STEPS)
     converges = period == 1
     return LimitReport(converges, pre, period, seq[pre] if converges else None)
 
@@ -256,18 +254,18 @@ def _permutation_order(perm: tuple[int, ...]) -> int:
     return order
 
 
-def density_power_sequence(
-    m: MarkovMatrix, f: Density, max_steps: int | None = None
-) -> LimitReport:
-    """Exact eventual periodicity of (M^n f); may converge when (M^n) does not."""
+def density_power_sequence(m: MarkovMatrix, f: Density) -> LimitReport:
+    """Exact eventual periodicity of (M^n f); may converge when (M^n) does not.
+
+    A permutation matrix repeats within its order, which may exceed MAX_STEPS.
+    """
     m.space._require_same(f.space)
-    if max_steps is None:
-        perm = m.permutation_structure()
-        max_steps = 4096 if perm is None else _permutation_order(perm) + 1
+    perm = m.permutation_structure()
+    budget = MAX_STEPS if perm is None else _permutation_order(perm) + 1
 
     def key(g: Density) -> tuple:
         return tuple((v.numerator, v.denominator) for v in g.values)
-    pre, period, seq = _detect_cycle(f, m.apply, key, max_steps)
+    pre, period, seq = _detect_cycle(f, m.apply, key, budget)
     converges = period == 1
     return LimitReport(converges, pre, period, seq[pre] if converges else None)
 
@@ -280,13 +278,13 @@ def apply_power(m: MarkovMatrix, f: Density, n: int) -> Density:
     return f
 
 
-def cesaro_limit(m: MarkovMatrix, max_steps: int | None = None) -> MarkovMatrix:
+def cesaro_limit(m: MarkovMatrix) -> MarkovMatrix:
     """The limit of the averages (1/n) sum of M^k.
 
     For an eventually periodic power sequence the preperiod washes out and
     the limit is the plain average over one cycle.
     """
-    report = power_sequence(m, max_steps=max_steps)
+    report = power_sequence(m)
     power = identity_matrix(m.space)
     for _ in range(report.preperiod):
         power = power @ m

@@ -232,11 +232,6 @@ class MeasureAlgebraClass:
         return "cls" + repr(self.representative())
 
 
-def class_of(a: MeasurableSet) -> MeasureAlgebraClass:
-    """The measure-algebra class of a literal set."""
-    return a.algebra_class()
-
-
 def algebra_distance(a: MeasurableSet, b: MeasurableSet) -> Fraction:
     """Metric on the measure algebra: the mass of the symmetric difference.
 

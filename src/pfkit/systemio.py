@@ -70,11 +70,12 @@ def system_from_dict(
     if version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {version!r}")
     try:
-        atoms = list(doc["atoms"])
-        masses_raw = list(doc["masses"])
-        map_raw = list(doc["map"])
+        atoms, masses_raw, map_raw = doc["atoms"], doc["masses"], doc["map"]
     except KeyError as exc:
         raise ParseError(f"missing field {exc.args[0]!r}") from exc
+    for name, value in (("atoms", atoms), ("masses", masses_raw), ("map", map_raw)):
+        if not isinstance(value, list):
+            raise ParseError(f"{name!r} must be a JSON array")
     if len(atoms) != len(masses_raw) or len(atoms) != len(map_raw):
         raise ParseError("atoms, masses and map must have equal length")
     if not all(isinstance(a, str) for a in atoms):
@@ -87,13 +88,18 @@ def system_from_dict(
     index = {label: i for i, label in enumerate(atoms)}
     targets = []
     for label in map_raw:
-        if label not in index:
+        if not isinstance(label, str) or label not in index:
             raise ParseError(f"map target {label!r} is not an atom")
         targets.append(index[label])
     phi = MeasurePreservingMap(space, tuple(targets))
 
+    named_raw = doc.get("named_sets", {})
+    if not isinstance(named_raw, Mapping):
+        raise ParseError("'named_sets' must be a JSON object")
     named: dict[str, MeasurableSet] = {}
-    for name, labels in dict(doc.get("named_sets", {})).items():
+    for name, labels in named_raw.items():
+        if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+            raise ParseError(f"named set {name!r} must be an array of atom labels")
         unknown = [l for l in labels if l not in index]
         if unknown:
             raise ParseError(f"named set {name!r} uses unknown atoms {unknown}")

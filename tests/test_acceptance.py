@@ -14,9 +14,7 @@ from pfkit import (
     SplitMix64,
     SystemGenerator,
     DyadicSet,
-    class_of,
     dense_exact_matrix,
-    dyadic_image_measure_limit,
     exactness_profile,
     identity_system,
     image_defect,
@@ -35,6 +33,7 @@ from pfkit import (
     two_atom_swap,
     ulam_assemble,
 )
+from pfkit.dyadic import image_measure_limit
 
 F = Fraction
 SEED = 20260814
@@ -59,11 +58,11 @@ def test_criterion_1_fixture_exactness():
         assert current == a13  # exact set equality, not just classes
     report = set_orbit(phi, a12)
     assert report.converges
-    assert report.limit_class == class_of(a13)
-    assert report.limit_class == class_of(space.full_set())
+    assert report.limit_class == a13.algebra_class()
+    assert report.limit_class == space.full_set().algebra_class()
     assert minimal_invariant_superset(phi, a12) == space.full_set()
     assert phi.image(a1) == a1
-    assert class_of(a1) != class_of(space.full_set())
+    assert a1.algebra_class() != space.full_set().algebra_class()
     assert time.monotonic() - started < 1.0
     _announce(1, "reserved fixture reproduces every claimed identity exactly", started)
 
@@ -162,7 +161,7 @@ def test_criterion_6_dyadic_exactness():
         measures = image_measure_profile(b, k + 1)
         assert all(x <= y for x, y in zip(measures, measures[1:]))
         assert measures[k] == 1  # saturation within level(A) steps
-        assert dyadic_image_measure_limit(b) == 1
+        assert image_measure_limit(b) == 1
         cur = b
         for n_step in range(k + 2):
             assert image_defect(b, n_step) == 1 - cur.measure

@@ -16,6 +16,7 @@ from pfkit import (
 )
 from pfkit.audit import (
     _BitSystem,
+    _audit_lower_bound_one,
     _audit_uniform_one,
     _mass_table,
     _or_table,
@@ -194,6 +195,17 @@ def test_audit_actually_detects_route_disagreement(three_point, monkeypatch):
     _audit_uniform_one(0, three_point, rec, rng)
     assert rec.failures
     assert rec.failures[0].check in ("defect-routes", "trace-exact")
+
+
+def test_sampled_witness_route_sees_a_cycle_among_fixed_points():
+    """Above the exhaustive limit, a swap among twelve fixed points makes
+    powers diverge; random sets almost always hold a fixed point, so only
+    the positive singletons reveal the atoms that lie on no full cycle."""
+    space = FiniteProbabilitySpace.from_masses([Fraction(1, 14)] * 14)
+    phi = MeasurePreservingMap(space, (1, 0) + tuple(range(2, 14)))
+    rec = _Recorder()
+    _audit_lower_bound_one(0, (space, phi), rec, SplitMix64(_mix64(0)))
+    assert rec.failures == []
 
 
 def test_report_serialization_round_trip():

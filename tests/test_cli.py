@@ -4,7 +4,14 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from pfkit import save_system, three_point_system, two_atom_swap
+import pfkit
+from pfkit import (
+    DiagnosticInconsistencyError,
+    PeriodDetectionError,
+    save_system,
+    three_point_system,
+    two_atom_swap,
+)
 from pfkit.cli import main
 
 
@@ -144,6 +151,42 @@ def test_non_measure_preserving_file(runner, tmp_path):
     result = runner.invoke(main, ["classify", str(bad)])
     assert result.exit_code == 2
     assert json.loads(result.output)["error"]["type"] == "NotMeasurePreservingError"
+
+
+def test_mistyped_system_file(runner, tmp_path):
+    bad = tmp_path / "bad.json"
+    doc = {"atoms": ["a"], "masses": ["1"], "map": ["a"], "named_sets": {"S": 5}}
+    bad.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["classify", str(bad)])
+    assert result.exit_code == 2
+    assert result.output.count("\n") == 1
+    assert json.loads(result.output)["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        DiagnosticInconsistencyError("routes disagree"),
+        PeriodDetectionError("no repeat"),
+        RuntimeError("unexpected"),
+    ],
+)
+def test_toolkit_defects_exit_3(runner, system_file, monkeypatch, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("pfkit.cli.classify", broken)
+    result = runner.invoke(main, ["classify", system_file])
+    assert result.exit_code == 3
+    assert result.output.count("\n") == 1
+    error = json.loads(result.output)["error"]
+    assert error == {"type": type(exc).__name__, "message": str(exc)}
+
+
+def test_version(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert pfkit.__version__ in result.output
 
 
 def test_dyadic_profile(runner):

@@ -7,9 +7,6 @@ from pfkit import (
     DyadicSet,
     DyadicStepFunction,
     DyadicValueError,
-    doubling_image,
-    doubling_preimage,
-    dyadic_image_measure_limit,
     exactness_profile,
     image_defect,
     image_measure_profile,
@@ -17,6 +14,7 @@ from pfkit import (
     transfer_apply,
     transition_matrix,
 )
+from pfkit.dyadic import image_measure_limit
 
 F = Fraction
 HALF = F(1, 2)
@@ -82,28 +80,28 @@ def test_boolean_operations():
 
 def test_doubling_image_and_preimage():
     a = dset((F(0), QUARTER))
-    assert doubling_image(a).intervals == ((F(0), HALF),)
-    assert doubling_preimage(a).intervals == (
+    assert a.image().intervals == ((F(0), HALF),)
+    assert a.preimage().intervals == (
         (F(0), F(1, 8)),
         (HALF, F(5, 8)),
     )
     wrap = dset((F(3, 8), F(5, 8)))
-    assert doubling_image(wrap).intervals == ((F(0), QUARTER), (F(3, 4), F(1)))
+    assert wrap.image().intervals == ((F(0), QUARTER), (F(3, 4), F(1)))
 
 
 @given(dyadic_sets())
 def test_preimage_preserves_measure(a):
-    assert doubling_preimage(a).measure == a.measure
+    assert a.preimage().measure == a.measure
 
 
 @given(dyadic_sets())
 def test_image_measure_never_decreases(a):
-    assert doubling_image(a).measure >= a.measure
+    assert a.image().measure >= a.measure
 
 
 @given(dyadic_sets())
 def test_preimage_of_image_contains_set(a):
-    back = doubling_preimage(doubling_image(a))
+    back = a.image().preimage()
     assert back.intersection(a).measure == a.measure
 
 
@@ -183,8 +181,8 @@ def test_trace_defect_values():
 def test_image_profiles():
     a = dset((F(0), QUARTER))
     assert image_measure_profile(a, 4) == (QUARTER, HALF, F(1), F(1), F(1))
-    assert dyadic_image_measure_limit(a) == 1
-    assert dyadic_image_measure_limit(DyadicSet.empty()) == 0
+    assert image_measure_limit(a) == 1
+    assert image_measure_limit(DyadicSet.empty()) == 0
     assert image_defect(a, 0) == F(3, 4)
     assert image_defect(a, 1) == HALF
     assert image_defect(a, 2) == F(0)
@@ -193,7 +191,7 @@ def test_image_profiles():
 @given(dyadic_sets(max_level=5))
 def test_image_saturates_within_level_steps(a):
     if a.measure == 0:
-        assert dyadic_image_measure_limit(a) == 0
+        assert image_measure_limit(a) == 0
         return
     profile = image_measure_profile(a, a.level)
     assert profile[-1] == 1
@@ -204,8 +202,8 @@ def test_image_saturates_within_level_steps(a):
 def test_image_defect_formula(a, n):
     cur = a
     for _ in range(n):
-        cur = doubling_image(cur)
-    limit = dyadic_image_measure_limit(a)
+        cur = cur.image()
+    limit = image_measure_limit(a)
     expected = max((1 - limit) * cur.measure, limit * (1 - cur.measure))
     assert image_defect(a, n) == expected
 

@@ -8,8 +8,6 @@ from pfkit import (
     MeasurePreservingMap,
     NotMeasurePreservingError,
     SigmaSubAlgebra,
-    check_measure_preserving,
-    completion_mod_null,
     completions_equal,
     identity_system,
     invariant_algebra,
@@ -45,7 +43,7 @@ def test_from_labels(three_point):
     space, phi = three_point
     rebuilt = MeasurePreservingMap.from_labels(space, {"1": "1", "2": "3", "3": "3"})
     assert rebuilt == phi
-    assert check_measure_preserving(space, phi.targets)
+    assert MeasurePreservingMap(space, phi.targets) == phi
 
 
 def test_image_and_preimage(three_point):
@@ -130,7 +128,7 @@ def test_tail_of_invertible_map_is_discrete(swap):
 
 def test_completion_splits_null_atoms(three_point):
     space, phi = three_point
-    completed = completion_mod_null(invariant_algebra(phi))
+    completed = invariant_algebra(phi).completion()
     assert completed.blocks == ((0,), (1,), (2,))
 
 

@@ -10,7 +10,6 @@ from pfkit import (
     SpaceMismatchError,
     algebra_distance,
     class_distance,
-    class_of,
     constant_density,
     indicator,
     inner,
@@ -71,7 +70,7 @@ def test_null_atoms_vanish_in_classes(three_point):
     space, _ = three_point
     a = space.set_of(["1", "2"])
     assert a.algebra_class() == space.set_of(["1"]).algebra_class()
-    assert class_distance(a.algebra_class(), class_of(space.set_of(["1"]))) == 0
+    assert class_distance(a.algebra_class(), space.set_of(["1"]).algebra_class()) == 0
     assert a.algebra_class() != space.set_of(["1", "3"]).algebra_class()
 
 
@@ -141,7 +140,7 @@ def test_cross_space_operations_rejected(three_point):
 
 @given(spaces())
 def test_class_representative_has_no_null_atoms(space):
-    cls = class_of(space.full_set())
+    cls = space.full_set().algebra_class()
     rep = cls.representative()
     assert rep.bits == space.positive_mask
     assert rep.measure == 1

@@ -88,6 +88,29 @@ def test_unknown_named_set_atom():
         system_from_dict(doc)
 
 
+_GOOD = {"atoms": ["a"], "masses": ["1"], "map": ["a"]}
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"atoms": "a"},
+        {"atoms": {"a": 1}},
+        {"atoms": 5},
+        {"masses": "1"},
+        {"map": "a"},
+        {"map": [["a"]]},
+        {"named_sets": ["S"]},
+        {"named_sets": {"S": 5}},
+        {"named_sets": {"S": "a"}},
+        {"named_sets": {"S": [["a"]]}},
+    ],
+)
+def test_field_types_are_checked(override):
+    with pytest.raises(ParseError):
+        system_from_dict({**_GOOD, **override})
+
+
 def test_schema_version_gate():
     doc = {"schema_version": "2", "atoms": ["a"], "masses": ["1"], "map": ["a"]}
     with pytest.raises(ParseError):
