@@ -475,24 +475,13 @@ def _audit_lower_bound_one(index: int, system: System, rec: _Recorder, rng: Spli
     # A trace pair (D, c) bounds the correlation sequence from below exactly
     # when the pointwise cycle minimum of P^n 1_B is positive somewhere,
     # i.e. when B contains a full permutation cycle of positive atoms.
-    if bs.k <= EXHAUSTIVE_ATOM_LIMIT:
-        subs = bs.subsets
-        has_cycle = np.zeros(subs.shape, dtype=bool)
-        for cm in bs.cycle_masks:
-            has_cycle |= (subs & cm) == cm
-        route_witness = bool(np.all(has_cycle[bs.mass_table > 0]))
-    else:
-        # A positive singleton holds a full cycle exactly when it is a fixed
-        # point, so the singletons alone decide the route; the samples are
-        # still drawn so that the rng stream stays the same.
-        samples = _sample_subsets(rng, bs.full, SAMPLED_SUBSETS)
-        route_witness = True
-        for b_bits in [1 << a for a in space.positive_support] + samples:
-            if not space.measure_bits(b_bits):
-                continue
-            if not any((b_bits & cm) == cm for cm in bs.cycle_masks):
-                route_witness = False
-                break
+    # Every B of positive measure holds one exactly when every positive
+    # singleton does, i.e. when every positive atom is a fixed point.
+    route_witness = all((1 << a) in bs.cycle_masks for a in space.positive_support)
+    if bs.k > EXHAUSTIVE_ATOM_LIMIT:
+        # keep drawing the former subset sample so the probes below see the
+        # same rng stream
+        _sample_subsets(rng, bs.full, SAMPLED_SUBSETS)
 
     if route_witness != conv:
         rec.fail(

@@ -197,7 +197,7 @@ def test_audit_actually_detects_route_disagreement(three_point, monkeypatch):
     assert rec.failures[0].check in ("defect-routes", "trace-exact")
 
 
-def test_sampled_witness_route_sees_a_cycle_among_fixed_points():
+def test_witness_route_sees_a_cycle_among_fixed_points():
     """Above the exhaustive limit, a swap among twelve fixed points makes
     powers diverge; random sets almost always hold a fixed point, so only
     the positive singletons reveal the atoms that lie on no full cycle."""
