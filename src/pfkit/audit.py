@@ -23,6 +23,7 @@ under audit, never from a private copy of it.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -57,6 +58,7 @@ from .operators import (
     koopman_operator,
     power_sequence,
     transfer_operator,
+    transfer_power,
 )
 from .space import FiniteProbabilitySpace, indicator
 
@@ -749,15 +751,19 @@ def _audit_structural_one(index: int, system: System, rec: _Recorder, rng: Split
             rec.fail(index, "preimage-isometry", f"{a_bits:#x},{b_bits:#x}")
 
     # support inclusions: supp P^m 1_A inside phi^m(A) and inside the
-    # positive part of the invariant saturation of A
+    # positive part of the invariant saturation of A; along the way the
+    # cycle-shift route to P^m 1_A must match the dense matrix iteration
     samples = [1 << a for a in pos] + [rng.next_u64() & bs.full for _ in range(4)]
     for a_bits in samples:
         a_set = space.set_from_bits(a_bits)
-        f = indicator(space, a_set)
+        start = indicator(space, a_set)
+        f = start
         supp = f.support_bits()
         sat_pos = minimal_invariant_superset(phi, a_set).bits & bs.posmask
         image_bits = a_bits
         for m_step in range(2 * bs.k + 1):
+            if transfer_power(phi, start, m_step) != f:
+                rec.fail(index, "transfer-power", f"A={a_bits:#x} m={m_step}")
             if supp & ~(image_bits & bs.posmask):
                 rec.fail(index, "support-in-image", f"A={a_bits:#x} m={m_step}")
                 break
@@ -799,6 +805,12 @@ def _run_range(
     return rec.failures
 
 
+def _worker_count(jobs: int, count: int) -> int:
+    """Processes to start for `jobs` requested over `count` systems: at least
+    one, and never more than the systems or the machine's cores."""
+    return max(1, min(jobs, count, os.cpu_count() or 1))
+
+
 def _worker(args: tuple) -> list[AuditFailure]:
     theorem, gen, start, stop = args
     return _run_range(theorem, gen, start, stop)
@@ -813,8 +825,9 @@ def run_audit(
 ) -> AuditReport:
     """Run one named audit (or all of them) over `count` generated systems.
 
-    System index 0 is always the three-point fixture.  With jobs > 1 the
-    index range is split across processes; the merged report is identical
+    System index 0 is always the three-point fixture.  `jobs` is clamped to
+    [1, min(count, cpu count)]; with more than one worker the index range
+    is split across processes, and the merged report is identical
     to a single-process run because every per-system random stream is
     derived from (seed, index) alone.
     """
@@ -824,15 +837,16 @@ def run_audit(
         raise ValueError("count must be positive")
     gen = generator if generator is not None else SystemGenerator(seed)
     started = time.monotonic()
-    if jobs <= 1:
+    workers = _worker_count(jobs, count)
+    if workers == 1:
         failures = _run_range(theorem, gen, 0, count)
     else:
-        chunk = -(-count // jobs)
+        chunk = -(-count // workers)
         ranges = [
             (theorem, gen, lo, min(lo + chunk, count))
             for lo in range(0, count, chunk)
         ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_worker, ranges))
         failures = [f for part in parts for f in part]
     failures.sort(key=lambda f: (f.system_index, f.check, f.detail))

@@ -80,6 +80,11 @@ def _resolve_set(space, named, spec: str):
     return space.set_of(labels)
 
 
+def _check_n_max(n_max: int | None) -> None:
+    if n_max is not None and n_max < 0:
+        raise ParseError(f"--n-max must be >= 0, got {n_max}")
+
+
 @contextmanager
 def _output(out: str | None):
     """The file named by --out, closed afterwards, or stdout when unset."""
@@ -103,6 +108,7 @@ def main() -> None:
 @guarded
 def classify_cmd(system_file: str, set_spec: str | None, n_max: int) -> None:
     """Full convergence classification of a system file."""
+    _check_n_max(n_max)
     space, phi, named = load_system(system_file)
     target = _resolve_set(space, named, set_spec) if set_spec else None
     profile = classify(phi, profile_set=target, n_max=n_max)
@@ -206,6 +212,7 @@ def mixing_profile_cmd(
     out: str | None,
 ) -> None:
     """Defect sequence n=0..n_max for a target set, as CSV."""
+    _check_n_max(n_max)
     space, phi, named = load_system(system_file)
     b = _resolve_set(space, named, set_spec)
     if kind in ("trace", "lower"):
@@ -253,6 +260,7 @@ def _parse_dyadic_set(text: str) -> dy.DyadicSet:
 @guarded
 def dyadic_cmd(set_spec: str, kind: str, n_max: int | None, out: str | None) -> None:
     """Exact defect profile of a dyadic target under the doubling map."""
+    _check_n_max(n_max)
     target = _parse_dyadic_set(set_spec)
     steps = n_max if n_max is not None else target.level + 2
     if kind == "exactness":
@@ -265,7 +273,7 @@ def dyadic_cmd(set_spec: str, kind: str, n_max: int | None, out: str | None) -> 
 
 @main.command("ulam")
 @click.option("--map", "kind", type=click.Choice(["doubling", "tent", "rotation"]), required=True)
-@click.option("--bins", required=True, type=int)
+@click.option("--bins", required=True, type=int, help=f"Bin count, 2 to {ul.MAX_BINS}.")
 @click.option("--alpha", default=None, help="Rotation angle as a rational, e.g. 1/3.")
 @click.option("--target-bins", default=None, help="Half-open bin range lo:hi for the profile target.")
 @click.option("--n-max", default=64, show_default=True)
@@ -282,6 +290,7 @@ def ulam_cmd(
     matrix_out: str | None,
 ) -> None:
     """Assemble a bin-transition matrix and report its mixing verdict."""
+    _check_n_max(n_max)
     alpha_value = parse_fraction(alpha) if alpha is not None else None
     model = ul.ulam_assemble(kind, bins, alpha=alpha_value)
     if target_bins is None:
@@ -326,7 +335,12 @@ def ulam_cmd(
     envvar="PFKIT_SEED",
     help="Defaults to the PFKIT_SEED environment variable when set.",
 )
-@click.option("--jobs", default=1, show_default=True)
+@click.option(
+    "--jobs",
+    default=1,
+    show_default=True,
+    help="Worker processes, clamped to [1, min(count, cpu count)].",
+)
 @click.option("--out", default=None, type=click.Path(dir_okay=False))
 @guarded
 def audit_cmd(theorem: str, count: int, seed: int, jobs: int, out: str | None) -> None:

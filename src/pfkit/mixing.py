@@ -24,13 +24,13 @@ from .dynamics import (
 )
 from .errors import DiagnosticInconsistencyError, NullTraceError
 from .operators import (
-    apply_power,
     conditional_expectation,
     density_power_sequence,
     fixed_space_dimension,
     power_sequence,
     rank_one_projection,
     transfer_operator,
+    transfer_power,
 )
 from .space import (
     ONE,
@@ -149,10 +149,10 @@ def uniform_mixing_defect(
     The integrand identity mu(phi^-n(A) inter B) = integral over A of
     P^n 1_B turns the supremum into max of the positive and negative part
     masses of g = P^n 1_B - mu(B); the extremal sets are {g > 0}, {g < 0}.
+    P^n 1_B comes from `transfer_power`.
     """
     phi.space._require_same(b.space)
-    p = transfer_operator(phi)
-    g = apply_power(p, indicator(phi.space, b), n) - constant_density(
+    g = transfer_power(phi, indicator(phi.space, b), n) - constant_density(
         phi.space, b.measure
     )
     return max(g.positive_part().integral(), g.negative_part().integral())
@@ -161,13 +161,15 @@ def uniform_mixing_defect(
 def trace_mixing_defect(
     phi: MeasurePreservingMap, b: MeasurableSet, d: MeasurableSet, n: int
 ) -> Fraction:
-    """The same supremum restricted to subsets of the trace set D."""
+    """The same supremum restricted to subsets of the trace set D.
+
+    P^n 1_B comes from `transfer_power`.
+    """
     phi.space._require_same(b.space)
     phi.space._require_same(d.space)
     if d.measure == 0:
         raise NullTraceError("trace set must have positive mass")
-    p = transfer_operator(phi)
-    g = apply_power(p, indicator(phi.space, b), n) - constant_density(
+    g = transfer_power(phi, indicator(phi.space, b), n) - constant_density(
         phi.space, b.measure
     )
     return max(
@@ -185,7 +187,8 @@ def lower_bound_defect(
     """inf over A of (mu(phi^-n(A) inter B) - c mu(D inter A)); always <= 0.
 
     The infimum of integral over A of (P^n 1_B - c 1_D) is attained on the
-    strict negativity set, giving minus the negative-part mass.
+    strict negativity set, giving minus the negative-part mass.  P^n 1_B
+    comes from `transfer_power`.
     """
     phi.space._require_same(b.space)
     phi.space._require_same(d.space)
@@ -194,8 +197,7 @@ def lower_bound_defect(
         raise ValueError("c must be positive")
     if d.measure == 0:
         raise NullTraceError("trace set must have positive mass")
-    p = transfer_operator(phi)
-    h = apply_power(p, indicator(phi.space, b), n) - indicator(phi.space, d).scale(c)
+    h = transfer_power(phi, indicator(phi.space, b), n) - indicator(phi.space, d).scale(c)
     return -h.negative_part().integral()
 
 

@@ -6,6 +6,14 @@ through the map, its adjoint composes with the map, and both are bi-Markov.
 Power sequences are detected exactly: for permutation-structured matrices
 the period is the lcm of the cycle lengths, and anything else falls back to
 hashing within MAX_STEPS steps.
+
+Two routes compute transfer powers.  The production path is
+`transfer_power`: measure preservation makes P permute the positive atoms
+with unit weights, so P^n f = f o pi^-n is read off the cycles of the
+positive permutation pi without arithmetic.  The dense matrix of
+`transfer_operator`, assembled from the defining formula and iterated by
+`apply_power`, is the independent oracle; the classifiers and the audits
+keep using it so that the two routes check each other.
 """
 
 from __future__ import annotations
@@ -124,10 +132,10 @@ class MarkovMatrix:
         d = self.dimension
         sources = []
         for row in self.entries:
-            ones = [j for j, v in enumerate(row) if v == ONE]
-            if len(ones) != 1 or any(v != ZERO for j, v in enumerate(row) if j != ones[0]):
+            nonzero = [j for j, v in enumerate(row) if v]
+            if len(nonzero) != 1 or row[nonzero[0]] != ONE:
                 return None
-            sources.append(ones[0])
+            sources.append(nonzero[0])
         if len(set(sources)) != d:
             return None
         return tuple(sources)
@@ -276,6 +284,32 @@ def apply_power(m: MarkovMatrix, f: Density, n: int) -> Density:
     for _ in range(n):
         f = m.apply(f)
     return f
+
+
+def transfer_power(phi: MeasurePreservingMap, f: Density, n: int) -> Density:
+    """P^n f = f o pi^-n on the positive atoms, in O(d) for any n.
+
+    pi is `phi.positive_permutation`.  Each value of f travels n steps
+    forward along its cycle of pi; values are moved, never recomputed, so
+    the result equals `apply_power(transfer_operator(phi), f, n)` exactly.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    phi.space._require_same(f.space)
+    perm = phi.positive_permutation
+    out: list[Fraction | None] = [None] * len(perm)
+    for start in range(len(perm)):
+        if out[start] is not None:
+            continue  # its cycle is already placed
+        cycle = [start]
+        j = perm[start]
+        while j != start:
+            cycle.append(j)
+            j = perm[j]
+        shift = n % len(cycle)
+        for i, k in enumerate(cycle):
+            out[cycle[(i + shift) % len(cycle)]] = f.values[k]
+    return Density(f.space, tuple(out))
 
 
 def cesaro_limit(m: MarkovMatrix) -> MarkovMatrix:

@@ -19,6 +19,11 @@ from .errors import BadBinCountError, NonStochasticRowError, PfkitError
 
 ROW_SUM_TOL = 1e-12
 
+# The largest bin count `ulam_assemble` accepts.  The matrix is a dense
+# bins x bins float64 array, 134 MB at this size and growing with the square,
+# so larger requests are refused before anything is allocated.
+MAX_BINS = 4096
+
 # An affine branch (lo, hi, slope, intercept): x -> slope * x + intercept on [lo, hi).
 Branch = tuple[float, float, float, float]
 
@@ -81,6 +86,8 @@ def ulam_assemble(
     """
     if bins < 2:
         raise BadBinCountError(f"need at least 2 bins, got {bins}")
+    if bins > MAX_BINS:
+        raise BadBinCountError(f"at most {MAX_BINS} bins are supported, got {bins}")
     matrix = np.zeros((bins, bins))
 
     if kind == "rotation":

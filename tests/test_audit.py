@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -17,11 +18,13 @@ from pfkit import (
 from pfkit.audit import (
     _BitSystem,
     _audit_lower_bound_one,
+    _audit_structural_one,
     _audit_uniform_one,
     _mass_table,
     _or_table,
     _Recorder,
     _mix64,
+    _worker_count,
 )
 
 
@@ -182,6 +185,30 @@ def test_parallel_run_merges_to_the_same_report():
     solo = run_audit("main", seed=21, count=40, jobs=1)
     split = run_audit("main", seed=21, count=40, jobs=3)
     assert solo.canonical_json() == split.canonical_json()
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _worker_count(1, 100) == 1
+    assert _worker_count(3, 100) == 3
+    assert _worker_count(0, 100) == 1
+    assert _worker_count(-5, 100) == 1
+    assert _worker_count(10**9, 100) == 4
+    assert _worker_count(3, 2) == 2
+    assert _worker_count(4, 1) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count(8, 100) == 1
+
+
+def test_structural_audit_checks_transfer_powers(swap, monkeypatch):
+    """A cycle-shift route that never moves anything is caught against the
+    dense matrix iteration on the swap, where P 1_a = 1_b."""
+    import pfkit.audit as audit_module
+
+    monkeypatch.setattr(audit_module, "transfer_power", lambda phi, f, n: f)
+    rec = _Recorder()
+    _audit_structural_one(0, swap, rec, SplitMix64(_mix64(0)))
+    assert {f.check for f in rec.failures} == {"transfer-power"}
 
 
 def test_audit_actually_detects_route_disagreement(three_point, monkeypatch):

@@ -258,6 +258,31 @@ def test_ulam_bad_bins(runner):
     assert json.loads(result.output)["error"]["type"] == "BadBinCountError"
 
 
+def test_ulam_bins_above_the_cap(runner):
+    result = runner.invoke(main, ["ulam", "--map", "doubling", "--bins", "4097"])
+    assert result.exit_code == 2
+    assert len(result.output.splitlines()) == 1
+    assert json.loads(result.output)["error"]["type"] == "BadBinCountError"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "{system}"],
+        ["mixing-profile", "{system}", "--set", "A1"],
+        ["dyadic", "--set", "0:1/4"],
+        ["ulam", "--map", "doubling", "--bins", "16"],
+    ],
+    ids=["classify", "mixing-profile", "dyadic", "ulam"],
+)
+def test_negative_n_max_is_rejected(runner, system_file, args):
+    argv = [system_file if a == "{system}" else a for a in args] + ["--n-max", "-1"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert len(result.output.splitlines()) == 1
+    assert json.loads(result.output)["error"]["type"] == "ParseError"
+
+
 def test_audit_command(runner):
     result = runner.invoke(main, ["audit", "--theorem", "main", "--count", "20", "--seed", "3"])
     assert result.exit_code == 0

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pfkit import (
+    Density,
     MarkovMatrix,
+    SystemGenerator,
     apply_power,
     cesaro_limit,
     conditional_expectation,
@@ -19,6 +22,7 @@ from pfkit import (
     power_sequence,
     rank_one_projection,
     transfer_operator,
+    transfer_power,
     two_atom_swap,
 )
 
@@ -88,9 +92,9 @@ def test_matrix_composition(swap):
     space, phi = swap
     p = transfer_operator(phi)
     assert p @ p == identity_matrix(space)
-    assert apply_power(p, indicator(space, space.set_of(["a"])), 3) == indicator(
-        space, space.set_of(["b"])
-    )
+    a, b = (indicator(space, space.set_of([x])) for x in "ab")
+    assert apply_power(p, a, 3) == b
+    assert transfer_power(phi, a, 3) == b
 
 
 def test_power_sequence_identity(three_point):
@@ -145,6 +149,49 @@ def test_permutation_fast_path_matches_hashing(system):
 
 def p_key(m):
     return m.entries
+
+
+def test_permutation_structure_needs_unit_entries(swap):
+    space, _ = swap
+    zero, one = Fraction(0), Fraction(1)
+    assert MarkovMatrix(space, ((zero, one), (one, zero))).permutation_structure() == (1, 0)
+    # a single nonzero that is not 1
+    assert MarkovMatrix(space, ((HALF, zero), (zero, one))).permutation_structure() is None
+    # two nonzeros in one row, one of them 1
+    assert MarkovMatrix(space, ((one, HALF), (zero, one))).permutation_structure() is None
+    assert MarkovMatrix(space, ((HALF, HALF), (HALF, HALF))).permutation_structure() is None
+    # unit rows that are not a bijection
+    assert MarkovMatrix(space, ((one, zero), (one, zero))).permutation_structure() is None
+
+
+def _cycle_lengths(perm):
+    lengths = []
+    for start in range(len(perm)):
+        j, length = perm[start], 1
+        while j != start:
+            j, length = perm[j], length + 1
+        lengths.append(length)
+    return lengths
+
+
+@given(
+    st.integers(0, 2**32),
+    st.integers(0, 500),
+    st.sampled_from([8, 16]),
+    st.integers(0, 20),
+    st.data(),
+)
+def test_transfer_power_matches_the_dense_oracle(seed, index, max_atoms, n, data):
+    space, phi = SystemGenerator(seed, max_positive_atoms=max_atoms).system(index)
+    d = len(space.positive_support)
+    values = data.draw(st.lists(st.fractions(), min_size=d, max_size=d))
+    f = Density(space, tuple(values))
+    got = transfer_power(phi, f, n)
+    assert got == apply_power(transfer_operator(phi), f, n)
+    period = lcm(*_cycle_lengths(phi.positive_permutation))
+    assert transfer_power(phi, f, n + period) == got
+    with pytest.raises(ValueError):
+        transfer_power(phi, f, -1 - n)
 
 
 def test_density_power_sequence(swap):

@@ -3,6 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pfkit import (
     NotMeasurePreservingError,
@@ -177,3 +178,55 @@ def test_matrix_csv():
     buf = io.StringIO()
     write_matrix_csv(buf, transfer_operator(phi))
     assert buf.getvalue().splitlines() == ["i,j,p", "0,0,1", "1,1,1"]
+
+
+_json = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+_labels = st.sampled_from(["a", "b", "c"])
+_masses = st.sampled_from(["0", "1", "1/2", "1/3", "2/3"]) | st.sampled_from(
+    ["-1/2", "3/2", "1/0", "0.5", "x"]
+)
+
+
+def _near_system(k):
+    """Documents shaped like a system of k atoms, with a stray value here
+    and there, so the checks behind the shape checks are reached too."""
+    def column(good):
+        return (
+            st.lists(good, min_size=k, max_size=k)
+            | st.lists(good | _json, min_size=k, max_size=k)
+            | st.lists(_json, max_size=4)
+        )
+
+    return st.fixed_dictionaries(
+        {"atoms": column(_labels), "masses": column(_masses), "map": column(_labels)},
+        optional={
+            "schema_version": st.just("1") | _json,
+            "named_sets": st.dictionaries(
+                st.text(max_size=3), st.lists(_labels, max_size=3) | _json, max_size=3
+            )
+            | _json,
+        },
+    )
+
+
+_near_systems = st.integers(0, 3).flatmap(_near_system)
+
+
+@settings(max_examples=300)
+@given(_json | _near_systems)
+def test_untrusted_documents_fail_only_as_input_errors(doc):
+    """Arbitrary JSON, and documents shaped almost like a system, either
+    load or raise one of the two input errors; nothing else escapes."""
+    try:
+        system_from_dict(doc)
+    except (ParseError, NotMeasurePreservingError):
+        pass

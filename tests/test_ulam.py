@@ -11,6 +11,7 @@ from pfkit import (
     mixing_profile,
     ulam_assemble,
 )
+from pfkit.ulam import MAX_BINS
 
 
 def test_bin_count_guard():
@@ -18,6 +19,8 @@ def test_bin_count_guard():
         ulam_assemble("doubling", 1)
     with pytest.raises(BadBinCountError):
         ulam_assemble("tent", 0)
+    with pytest.raises(BadBinCountError):
+        ulam_assemble("doubling", MAX_BINS + 1)
 
 
 def test_unknown_kind():
