@@ -300,18 +300,14 @@ def ulam_cmd(
             raise ParseError("--target-bins must look like lo:hi")
         lo_text, hi_text = target_bins.split(":", 1)
         lo, hi = int(lo_text), int(hi_text)
-    b = [i for i in range(bins) if lo <= i < hi]
+    b = range(max(lo, 0), min(hi, bins))
     if not b:
         raise ParseError("empty target bin range")
     profile, verdict = ul.mixing_profile(model, b, n_max=n_max, tol=tol)
     if matrix_out is not None:
         with Path(matrix_out).open("w", newline="") as handle:
             handle.write("i,j,p\n")
-            for i in range(bins):
-                for j in range(bins):
-                    p = float(model.matrix[i, j])
-                    if p:
-                        handle.write(f"{i},{j},{p!r}\n")
+            handle.writelines(f"{i},{j},{p!r}\n" for i, j, p in model.entries())
     _echo_json(
         {
             "schema_version": SCHEMA_VERSION,

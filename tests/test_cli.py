@@ -13,6 +13,7 @@ from pfkit import (
     two_atom_swap,
 )
 from pfkit.cli import main
+from pfkit.ulam import DENSE_MAX_BINS, MAX_BINS, ulam_assemble
 
 
 @pytest.fixture
@@ -250,6 +251,49 @@ def test_ulam_matrix_export(runner, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "i,j,p"
     assert lines[1] == "0,0,0.5"
+    assert lines == [
+        "i,j,p",
+        "0,0,0.5",
+        "0,1,0.5",
+        "1,2,0.5",
+        "1,3,0.5",
+        "2,0,0.5",
+        "2,1,0.5",
+        "3,2,0.5",
+        "3,3,0.5",
+    ]
+
+
+def test_ulam_matrix_export_above_the_dense_view_cap(runner, tmp_path):
+    bins = DENSE_MAX_BINS + 1
+    out = tmp_path / "matrix.csv"
+    result = runner.invoke(
+        main,
+        ["ulam", "--map", "tent", "--bins", str(bins), "--n-max", "4", "--matrix-out", str(out)],
+    )
+    assert result.exit_code == 0
+    model = ulam_assemble("tent", bins)
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + model.data.size
+    assert lines[1:] == [f"{i},{j},{p!r}" for i, j, p in model.entries()]
+
+
+@pytest.mark.parametrize(
+    ("target", "exit_code"),
+    [("-4:2", 0), ("14:99", 0), ("5:3", 2), ("16:20", 2), ("-3:0", 2)],
+)
+def test_ulam_target_range_is_clipped_to_the_bins(runner, target, exit_code):
+    argv = ["ulam", "--map", "doubling", "--bins", "16", "--n-max", "6"]
+    result = runner.invoke(main, argv + ["--target-bins", target])
+    assert result.exit_code == exit_code
+    doc = json.loads(result.output)
+    if exit_code:
+        assert doc["error"]["type"] == "ParseError"
+        return
+    lo, hi = (int(x) for x in target.split(":"))
+    assert doc["target_bins"] == [lo, hi]
+    clipped = runner.invoke(main, argv + ["--target-bins", f"{max(lo, 0)}:{min(hi, 16)}"])
+    assert json.loads(clipped.output)["profile"] == doc["profile"]
 
 
 def test_ulam_bad_bins(runner):
@@ -259,7 +303,7 @@ def test_ulam_bad_bins(runner):
 
 
 def test_ulam_bins_above_the_cap(runner):
-    result = runner.invoke(main, ["ulam", "--map", "doubling", "--bins", "4097"])
+    result = runner.invoke(main, ["ulam", "--map", "doubling", "--bins", str(MAX_BINS + 1)])
     assert result.exit_code == 2
     assert len(result.output.splitlines()) == 1
     assert json.loads(result.output)["error"]["type"] == "BadBinCountError"
