@@ -36,8 +36,15 @@ from .systemio import (
 )
 
 
+def _echo(text: str) -> None:
+    # An explicit file: click.echo(text) alone caches each new sys.stdout in a
+    # WeakKeyDictionary whose value refers back to its key, so a caller that
+    # swaps sys.stdout per request (CliRunner) would keep every stream alive.
+    click.echo(text, file=sys.stdout)
+
+
 def _echo_json(doc: dict) -> None:
-    click.echo(json.dumps(doc))
+    _echo(json.dumps(doc))
 
 
 def _fail(exc: Exception, code: int) -> None:
@@ -144,6 +151,8 @@ def classify_cmd(system_file: str, set_spec: str | None, n_max: int) -> None:
 @guarded
 def orbit_cmd(system_file: str, set_spec: str, direction: str, steps: int | None, out: str | None) -> None:
     """Tabulate the forward or backward orbit of a set as CSV."""
+    if steps is not None and steps < 0:
+        raise ParseError(f"--steps must be >= 0, got {steps}")
     space, phi, named = load_system(system_file)
     start = _resolve_set(space, named, set_spec)
     report = set_orbit(phi, start, direction=direction)
@@ -345,7 +354,7 @@ def audit_cmd(theorem: str, count: int, seed: int, jobs: int, out: str | None) -
     text = json.dumps(report.to_dict())
     if out:
         Path(out).write_text(text + "\n")
-    click.echo(text)
+    _echo(text)
     if not report.ok:
         sys.exit(1)
 

@@ -14,6 +14,12 @@ positive permutation pi without arithmetic.  The dense matrix of
 `transfer_operator`, assembled from the defining formula and iterated by
 `apply_power`, is the independent oracle; the classifiers and the audits
 keep using it so that the two routes check each other.
+
+The oracle is generic exact linear algebra on sparse rows: a `MarkovMatrix`
+keeps the nonzero entries of each row, and every kernel, including the rank
+elimination behind `fixed_space_dimension`, touches only those.  It never
+reads the map's permutation or cycles, so it stays independent of the cycle
+route.
 """
 
 from __future__ import annotations
@@ -43,6 +49,12 @@ class MarkovMatrix:
     Row i holds the coefficients producing the output value at positive atom
     i, so `apply` is a plain row-times-vector product.  `weights` are the
     positive atom masses, fixing the pairing used for adjoints.
+
+    `entries` is the public dense view.  The kernels read `rows`, the
+    nonzero (column, value) pairs of each row, computed once: a transfer
+    matrix has one nonzero per row, and a dropped 0 * f[j] term leaves an
+    exact sum unchanged.  Nothing here reads the map or its cycles, so the
+    matrix stays an oracle independent of `transfer_power`.
     """
 
     space: FiniteProbabilitySpace
@@ -53,9 +65,33 @@ class MarkovMatrix:
         if len(self.entries) != d or any(len(row) != d for row in self.entries):
             raise ValueError("matrix shape must match the positive support")
 
+    @classmethod
+    def _from_rows(
+        cls, space: FiniteProbabilitySpace, rows: list[list[tuple[int, Fraction]]]
+    ) -> "MarkovMatrix":
+        """The matrix with the given nonzero (column, value) pairs per row,
+        columns increasing, building the dense view from them."""
+        d = len(rows)
+        dense = []
+        for row in rows:
+            full = [ZERO] * d
+            for j, v in row:
+                full[j] = v
+            dense.append(tuple(full))
+        m = cls(space, tuple(dense))
+        m.__dict__["rows"] = tuple(tuple(row) for row in rows)
+        return m
+
     @property
     def dimension(self) -> int:
         return len(self.entries)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """The nonzero (column, value) pairs of each row, columns increasing."""
+        return tuple(
+            tuple((j, v) for j, v in enumerate(row) if v) for row in self.entries
+        )
 
     @cached_property
     def weights(self) -> tuple[Fraction, ...]:
@@ -64,48 +100,52 @@ class MarkovMatrix:
 
     def apply(self, f: Density) -> Density:
         self.space._require_same(f.space)
-        vals = tuple(
-            sum((row[j] * f.values[j] for j in range(self.dimension)), ZERO)
-            for row in self.entries
-        )
-        return Density(self.space, vals)
+        fv = f.values
+        vals = []
+        # 1 * x is x and an empty sum is 0, exactly; a transfer matrix has a
+        # single unit entry in most rows, so these skip most of the arithmetic
+        for row in self.rows:
+            terms = [fv[j] if v == 1 else v * fv[j] for j, v in row]
+            vals.append(sum(terms[1:], terms[0]) if terms else ZERO)
+        return Density(self.space, tuple(vals))
 
     def compose(self, other: "MarkovMatrix") -> "MarkovMatrix":
         """Matrix product self @ other (apply other first)."""
         self.space._require_same(other.space)
-        d = self.dimension
-        cols = tuple(zip(*other.entries))
-        rows = tuple(
-            tuple(sum((row[k] * col[k] for k in range(d)), ZERO) for col in cols)
-            for row in self.entries
-        )
-        return MarkovMatrix(self.space, rows)
+        other_rows = other.rows
+        out = []
+        for row in self.rows:
+            acc: dict[int, Fraction] = {}
+            for k, v in row:
+                for j, w in other_rows[k]:
+                    acc[j] = acc.get(j, ZERO) + v * w
+            out.append(sorted((j, x) for j, x in acc.items() if x))
+        return MarkovMatrix._from_rows(self.space, out)
 
     __matmul__ = compose
 
     def adjoint(self) -> "MarkovMatrix":
         """The adjoint for the weighted pairing: B[j][i] = w_i A[i][j] / w_j."""
-        d = self.dimension
         w = self.weights
-        rows = tuple(
-            tuple(w[i] * self.entries[i][j] / w[j] for i in range(d))
-            for j in range(d)
-        )
-        return MarkovMatrix(self.space, rows)
+        out: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.dimension)]
+        for i, row in enumerate(self.rows):
+            for j, v in row:
+                out[j].append((i, w[i] * v / w[j]))
+        return MarkovMatrix._from_rows(self.space, out)
 
     def is_nonnegative(self) -> bool:
-        return all(v >= 0 for row in self.entries for v in row)
+        return all(v >= 0 for row in self.rows for _, v in row)
 
     def preserves_constants(self) -> bool:
-        return all(sum(row, ZERO) == ONE for row in self.entries)
+        return all(sum((v for _, v in row), ZERO) == ONE for row in self.rows)
 
     def preserves_integrals(self) -> bool:
         w = self.weights
-        d = self.dimension
-        return all(
-            sum((w[i] * self.entries[i][j] for i in range(d)), ZERO) == w[j]
-            for j in range(d)
-        )
+        cols = [ZERO] * self.dimension
+        for i, row in enumerate(self.rows):
+            for j, v in row:
+                cols[j] += w[i] * v
+        return all(c == wj for c, wj in zip(cols, w))
 
     def is_bimarkov(self) -> bool:
         """Positive, fixes constants, and the adjoint fixes constants too."""
@@ -117,11 +157,7 @@ class MarkovMatrix:
 
     @cached_property
     def is_identity(self) -> bool:
-        return all(
-            v == (ONE if i == j else ZERO)
-            for i, row in enumerate(self.entries)
-            for j, v in enumerate(row)
-        )
+        return all(row == ((i, ONE),) for i, row in enumerate(self.rows))
 
     def permutation_structure(self) -> tuple[int, ...] | None:
         """If each row is a basis vector, the underlying permutation, else None.
@@ -129,23 +165,19 @@ class MarkovMatrix:
         Row i equal to e_s means (Mf)(i) = f(s), i.e. s is the source feeding
         output slot i.  Requires the source assignment to be a bijection.
         """
-        d = self.dimension
         sources = []
-        for row in self.entries:
-            nonzero = [j for j, v in enumerate(row) if v]
-            if len(nonzero) != 1 or row[nonzero[0]] != ONE:
+        for row in self.rows:
+            if len(row) != 1 or row[0][1] != ONE:
                 return None
-            sources.append(nonzero[0])
-        if len(set(sources)) != d:
+            sources.append(row[0][0])
+        if len(set(sources)) != self.dimension:
             return None
         return tuple(sources)
 
 
 def identity_matrix(space: FiniteProbabilitySpace) -> MarkovMatrix:
     d = len(space.positive_support)
-    return MarkovMatrix(
-        space, tuple(tuple(ONE if i == j else ZERO for j in range(d)) for i in range(d))
-    )
+    return MarkovMatrix._from_rows(space, [[(i, ONE)] for i in range(d)])
 
 
 def transfer_operator(phi: MeasurePreservingMap) -> MarkovMatrix:
@@ -160,29 +192,20 @@ def transfer_operator(phi: MeasurePreservingMap) -> MarkovMatrix:
     space = phi.space
     pos = space.positive_support
     masses = space.masses
-    d = len(pos)
-    rows = []
-    for y in pos:
-        row = [ZERO] * d
-        for k, x in enumerate(pos):
-            if phi.targets[x] == y:
-                row[k] = masses[x] / masses[y]
-        rows.append(tuple(row))
-    return MarkovMatrix(space, tuple(rows))
+    fibers: dict[int, list[int]] = {}
+    for k, x in enumerate(pos):
+        fibers.setdefault(phi.targets[x], []).append(k)
+    rows = [
+        [(k, masses[pos[k]] / masses[y]) for k in fibers.get(y, ())] for y in pos
+    ]
+    return MarkovMatrix._from_rows(space, rows)
 
 
 def koopman_operator(phi: MeasurePreservingMap) -> MarkovMatrix:
     """The composition operator f -> f o phi on the positive atoms."""
-    space = phi.space
-    pos = space.positive_support
-    pos_index = space.positive_index
-    d = len(pos)
-    rows = []
-    for x in pos:
-        row = [ZERO] * d
-        row[pos_index[phi.targets[x]]] = ONE
-        rows.append(tuple(row))
-    return MarkovMatrix(space, tuple(rows))
+    pos_index = phi.space.positive_index
+    rows = [[(pos_index[phi.targets[x]], ONE)] for x in phi.space.positive_support]
+    return MarkovMatrix._from_rows(phi.space, rows)
 
 
 def rank_one_projection(space: FiniteProbabilitySpace) -> MarkovMatrix:
@@ -369,25 +392,29 @@ def density_support(f: Density) -> MeasureAlgebraClass:
 
 
 def fixed_space_dimension(m: MarkovMatrix) -> int:
-    """Dimension of {f : Mf = f}, by exact elimination on (M - I)."""
-    d = m.dimension
-    rows = [
-        [m.entries[i][j] - (ONE if i == j else ZERO) for j in range(d)]
-        for i in range(d)
-    ]
-    rank = 0
-    for col in range(d):
-        pivot = next((r for r in range(rank, d) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [v / inv for v in rows[rank]]
-        for r in range(d):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == d:
-            break
-    return d - rank
+    """Dimension of {f : Mf = f}: d minus the rank of M - I.
+
+    The rank comes from sparse forward elimination over dict rows.  Each
+    row of M - I is reduced by the pivot rows found so far until it is zero
+    or leads with a new pivot column; no back-substitution is needed.
+    """
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for i, row in enumerate(m.rows):
+        r = dict(row)
+        r[i] = r.get(i, ZERO) - ONE
+        r = {j: v for j, v in r.items() if v}
+        while r:
+            col = min(r)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = r[col]
+                pivots[col] = {j: v / inv for j, v in r.items()}
+                break
+            factor = r[col]
+            for j, v in pivot.items():
+                x = r.get(j, ZERO) - factor * v
+                if x:
+                    r[j] = x
+                else:
+                    del r[j]
+    return m.dimension - len(pivots)

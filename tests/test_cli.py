@@ -1,8 +1,9 @@
+import gc
 import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from click.testing import CliRunner, _NamedTextIOWrapper
 
 import pfkit
 from pfkit import (
@@ -325,6 +326,27 @@ def test_negative_n_max_is_rejected(runner, system_file, args):
     assert result.exit_code == 2
     assert len(result.output.splitlines()) == 1
     assert json.loads(result.output)["error"]["type"] == "ParseError"
+
+
+def test_negative_orbit_steps_are_rejected(runner, system_file):
+    result = runner.invoke(main, ["orbit", system_file, "--set", "A1", "--steps", "-3"])
+    assert result.exit_code == 2
+    assert len(result.output.splitlines()) == 1
+    assert json.loads(result.output)["error"]["type"] == "ParseError"
+
+
+def _live_stdout_wrappers() -> int:
+    gc.collect()
+    return sum(isinstance(o, _NamedTextIOWrapper) for o in gc.get_objects())
+
+
+def test_requests_do_not_keep_their_streams_alive(runner, system_file):
+    # CliRunner gives every request a fresh sys.stdout; none may outlive it
+    runner.invoke(main, ["classify", system_file])
+    before = _live_stdout_wrappers()
+    for _ in range(20):
+        assert runner.invoke(main, ["classify", system_file]).exit_code == 0
+    assert _live_stdout_wrappers() <= before
 
 
 def test_audit_command(runner):

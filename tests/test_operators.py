@@ -4,9 +4,11 @@ from math import lcm
 import pytest
 from hypothesis import given, strategies as st
 
+from pfkit import operators
 from pfkit import (
     Density,
     MarkovMatrix,
+    MeasurePreservingMap,
     SystemGenerator,
     apply_power,
     cesaro_limit,
@@ -26,7 +28,7 @@ from pfkit import (
     two_atom_swap,
 )
 
-from conftest import systems
+from conftest import spaces, systems
 
 HALF = Fraction(1, 2)
 
@@ -238,6 +240,160 @@ def test_density_support(three_point):
     space, phi = three_point
     f = indicator(space, space.set_of(["1", "2"]))
     assert density_support(f) == space.set_of(["1"]).algebra_class()
+
+
+def _dense_fixed_space_dimension(m):
+    """Test oracle: Gauss-Jordan elimination on a dense copy of M - I."""
+    d = m.dimension
+    rows = [
+        [m.entries[i][j] - (1 if i == j else 0) for j in range(d)] for i in range(d)
+    ]
+    rank = 0
+    for col in range(d):
+        pivot = next((r for r in range(rank, d) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col]
+        rows[rank] = [v / inv for v in rows[rank]]
+        for r in range(d):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return d - rank
+
+
+# zero about two times in three, so that rows have few nonzeros
+_sparse_fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+
+
+@st.composite
+def rational_matrices(draw, space):
+    """A matrix over the positive atoms of `space`, either random or
+    I + (a sum of r outer products), so that M - I has rank at most r."""
+    d = len(space.positive_support)
+    if draw(st.booleans()):
+        rows = draw(
+            st.lists(
+                st.lists(_sparse_fractions, min_size=d, max_size=d),
+                min_size=d,
+                max_size=d,
+            )
+        )
+    else:
+        rows = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+        for _ in range(draw(st.integers(0, d))):
+            u = draw(st.lists(_sparse_fractions, min_size=d, max_size=d))
+            v = draw(st.lists(_sparse_fractions, min_size=d, max_size=d))
+            for i in range(d):
+                for j in range(d):
+                    rows[i][j] += u[i] * v[j]
+    return MarkovMatrix(space, tuple(tuple(row) for row in rows))
+
+
+@given(spaces(max_positive=8).flatmap(rational_matrices))
+def test_fixed_space_dimension_matches_dense_elimination(m):
+    assert fixed_space_dimension(m) == _dense_fixed_space_dimension(m)
+
+
+@given(systems(max_positive=8))
+def test_fixed_space_dimension_of_projections_and_averages(system):
+    space, phi = system
+    proj = rank_one_projection(space)
+    assert fixed_space_dimension(proj) == _dense_fixed_space_dimension(proj) == 1
+    avg = cesaro_limit(transfer_operator(phi))
+    assert fixed_space_dimension(avg) == _dense_fixed_space_dimension(avg)
+
+
+@given(st.integers(0, 2**32), st.integers(0, 500), st.sampled_from([8, 16]))
+def test_fixed_space_dimension_counts_invariant_blocks(seed, index, max_atoms):
+    space, phi = SystemGenerator(seed, max_positive_atoms=max_atoms).system(index)
+    p = transfer_operator(phi)
+    blocks = len(invariant_algebra(phi).positive_blocks())
+    assert fixed_space_dimension(p) == _dense_fixed_space_dimension(p) == blocks
+
+
+def _dense_apply(m, f):
+    d = m.dimension
+    return tuple(
+        sum((m.entries[i][j] * f.values[j] for j in range(d)), Fraction(0))
+        for i in range(d)
+    )
+
+
+def _dense_compose(a, b):
+    d = a.dimension
+    return tuple(
+        tuple(
+            sum((a.entries[i][k] * b.entries[k][j] for k in range(d)), Fraction(0))
+            for j in range(d)
+        )
+        for i in range(d)
+    )
+
+
+def _dense_adjoint(m):
+    w = m.weights
+    d = m.dimension
+    return tuple(
+        tuple(w[i] * m.entries[i][j] / w[j] for i in range(d)) for j in range(d)
+    )
+
+
+def _dense_is_bimarkov(m):
+    w = m.weights
+    d = m.dimension
+    return (
+        all(v >= 0 for row in m.entries for v in row)
+        and all(sum(row, Fraction(0)) == 1 for row in m.entries)
+        and all(
+            sum((w[i] * m.entries[i][j] for i in range(d)), Fraction(0)) == w[j]
+            for j in range(d)
+        )
+    )
+
+
+@given(systems(max_positive=8), st.data())
+def test_sparse_kernels_match_the_dense_formulas(system, data):
+    """Every kernel reads the sparse rows; each must equal a plain d^2
+    evaluation of its formula on the dense entries."""
+    space, phi = system
+    d = len(space.positive_support)
+    m = data.draw(rational_matrices(space))
+    proj = rank_one_projection(space)
+    p = transfer_operator(phi)
+    cases = [m, proj, proj @ p, p @ proj, proj @ m]
+    for a, b in zip(cases, cases[1:] + cases[:1]):
+        values = data.draw(st.lists(_sparse_fractions, min_size=d, max_size=d))
+        f = Density(space, tuple(values))
+        assert a.apply(f).values == _dense_apply(a, f)
+        assert a.adjoint().entries == _dense_adjoint(a)
+        assert a.is_bimarkov() == _dense_is_bimarkov(a)
+        assert (a @ b).entries == _dense_compose(a, b)
+        assert (b @ a).entries == _dense_compose(b, a)
+    assert proj.is_bimarkov() and (proj @ p).is_bimarkov()
+
+
+def test_oracle_route_never_reads_the_cycles(monkeypatch):
+    generated = [SystemGenerator(11, max_positive_atoms=16).system(i) for i in range(40)]
+
+    def forbidden(*args):
+        raise AssertionError("the oracle route read the cycle route")
+
+    monkeypatch.setattr(MeasurePreservingMap, "positive_permutation", property(forbidden))
+    monkeypatch.setattr(operators, "transfer_power", forbidden)
+    for space, phi in generated:
+        p = transfer_operator(phi)
+        t = koopman_operator(phi)
+        assert p.is_bimarkov() and p.adjoint() == t and (p @ t).is_identity
+        f = indicator(space, space.set_from_indices([space.positive_support[0]]))
+        assert density_power_sequence(p, f).period <= power_sequence(p).period
+        assert fixed_space_dimension(p) == _dense_fixed_space_dimension(p)
 
 
 def test_fixed_space_dimension(three_point, swap):
