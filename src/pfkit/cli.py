@@ -257,7 +257,12 @@ def _parse_dyadic_set(text: str) -> dy.DyadicSet:
 
 
 @main.command("dyadic")
-@click.option("--set", "set_spec", required=True, help="Dyadic intervals, e.g. 0:1/4,1/2:5/8.")
+@click.option(
+    "--set",
+    "set_spec",
+    required=True,
+    help=f"Dyadic intervals with denominators up to 2^{dy.MAX_LEVEL}, e.g. 0:1/4,1/2:5/8.",
+)
 @click.option(
     "--kind",
     type=click.Choice(["exactness", "image"]),

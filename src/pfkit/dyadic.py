@@ -4,19 +4,21 @@ This is the canonical witness for genuinely one-sided behavior that finite
 atom systems cannot show: the doubling map x -> 2x mod 1 is exact, and all
 of it is computable here with rational arithmetic and no tolerances.
 
-Sets are finite unions of half-open dyadic intervals; step functions are
-constant on the cells of a dyadic grid.  Forward images double intervals,
-preimages halve them into two branches, and the transfer operator averages
-the two branch values, dropping the grid one level per application.  A step
-function at level k therefore becomes constant after exactly k steps, which
-is the exactness mechanism in closed form.
+Sets are finite unions of half-open dyadic intervals, stored as bitmasks
+over the cells of a dyadic grid; step functions are constant on the cells of
+a dyadic grid.  The forward image folds the two halves of a grid onto the
+next coarser one, the preimage copies a grid onto both halves of the next
+finer one, and the transfer operator averages the two branch values,
+dropping the grid one level per application.  A step function at level k
+therefore becomes constant after exactly k steps, which is the exactness
+mechanism in closed form.  Grids stop at MAX_LEVEL: deeper endpoints and
+preimages raise DyadicValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DyadicValueError
@@ -25,12 +27,20 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
-MAX_LEVEL = 62
+# The finest grid: 2^16 cells, as many as ulam.MAX_BINS.  Deeper endpoints
+# are rejected before any mask is built.
+MAX_LEVEL = 16
 
 Interval = tuple[Fraction, Fraction]
 
+# Bit 2i of the level-k mask, for every i: a set is a union of level k - 1
+# cells exactly when it agrees on cells 2i and 2i + 1 for every i.
+_EVEN_CELLS = tuple(((1 << (1 << k)) - 1) // 3 for k in range(MAX_LEVEL + 1))
+
 
 def _dyadic_level(x: Fraction) -> int:
+    if not 0 <= x <= 1:
+        raise DyadicValueError(f"endpoint {x} outside [0, 1]")
     den = x.denominator
     if den & (den - 1):
         raise DyadicValueError(f"{x} is not dyadic")
@@ -40,113 +50,111 @@ def _dyadic_level(x: Fraction) -> int:
     return level
 
 
-def _check_endpoint(x: Fraction) -> Fraction:
-    x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise DyadicValueError(f"endpoint {x} outside [0, 1]")
-    _dyadic_level(x)
-    return x
+def _refine(mask: int, level: int, finer: int) -> int:
+    """The same cells on the finer grid: each bit repeated 2^(finer-level) times."""
+    if finer == level:
+        return mask
+    reps = 1 << (finer - level)
+    bits = format(mask, f"0{1 << level}b")
+    return int(bits.translate({48: "0" * reps, 49: "1" * reps}), 2)
 
 
-def _normalize(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
-    pairs = sorted((a, b) for a, b in intervals if a < b)
-    merged: list[list[Fraction]] = []
-    for a, b in pairs:
-        if merged and a <= merged[-1][1]:
-            if b > merged[-1][1]:
-                merged[-1][1] = b
-        else:
-            merged.append([a, b])
-    return tuple((a, b) for a, b in merged)
+def _bit_positions(mask: int) -> list[int]:
+    """Indices of the set bits, ascending."""
+    return [j for j, c in enumerate(reversed(format(mask, "b"))) if c == "1"]
+
+
+def _coarsest(level: int, mask: int) -> "DyadicSet":
+    while level and not (mask ^ mask >> 1) & _EVEN_CELLS[level]:
+        mask = int(format(mask, f"0{1 << level}b")[1::2], 2)  # keep even bits
+        level -= 1
+    return DyadicSet(level, mask)
+
+
+def _combine(a: "DyadicSet", b: "DyadicSet", op) -> "DyadicSet":
+    level = max(a.level, b.level)
+    return _coarsest(level, op(_refine(a.mask, a.level, level), _refine(b.mask, b.level, level)))
 
 
 @dataclass(frozen=True)
 class DyadicSet:
-    """A finite union of half-open dyadic intervals [a, b) inside [0, 1)."""
+    """A finite union of half-open dyadic intervals inside [0, 1).
 
-    intervals: tuple[Interval, ...]
+    Bit j of `mask` is the cell [j 2^-level, (j+1) 2^-level).  The set is
+    stored at the coarsest level that holds it, so equal sets have equal
+    fields and `level` is the coarsest grid on which the set is a union of
+    cells.  Levels stop at MAX_LEVEL.
+    """
+
+    level: int
+    mask: int
 
     def __post_init__(self) -> None:
-        prev_end: Fraction | None = None
-        for a, b in self.intervals:
-            _check_endpoint(a)
-            _check_endpoint(b)
-            if not a < b:
-                raise DyadicValueError(f"empty or reversed interval [{a}, {b})")
-            if prev_end is not None and a < prev_end:
-                raise DyadicValueError("intervals must be disjoint and sorted")
-            prev_end = b
+        if not 0 <= self.level <= MAX_LEVEL:
+            raise DyadicValueError(f"level {self.level} outside [0, {MAX_LEVEL}]")
+        if self.mask < 0 or self.mask.bit_length() > 1 << self.level:
+            raise DyadicValueError(f"mask has bits beyond the 2^{self.level} cells")
+        if self.level and not (self.mask ^ self.mask >> 1) & _EVEN_CELLS[self.level]:
+            raise DyadicValueError("set is not stored at its coarsest level")
 
     @classmethod
     def from_pairs(
         cls, pairs: Iterable[tuple[Fraction | int | str, Fraction | int | str]]
     ) -> "DyadicSet":
-        return cls(_normalize((Fraction(a), Fraction(b)) for a, b in pairs))
+        """The union of the intervals [a, b); empty and reversed pairs add nothing."""
+        ends = [(Fraction(a), Fraction(b)) for a, b in pairs]
+        level = max((_dyadic_level(x) for pair in ends for x in pair), default=0)
+        n = 1 << level
+        mask = 0
+        for a, b in ends:
+            if a < b:
+                lo, hi = int(a * n), int(b * n)
+                mask |= ((1 << (hi - lo)) - 1) << lo
+        return _coarsest(level, mask)
 
     @classmethod
     def empty(cls) -> "DyadicSet":
-        return cls(())
+        return cls(0, 0)
 
     @classmethod
     def full(cls) -> "DyadicSet":
-        return cls(((ZERO, ONE),))
+        return cls(0, 1)
+
+    @property
+    def intervals(self) -> tuple[Interval, ...]:
+        """The maximal intervals of the set, sorted: the runs of the mask."""
+        n = 1 << self.level
+        edges = _bit_positions(self.mask ^ self.mask << 1)
+        return tuple(
+            (Fraction(a, n), Fraction(b, n)) for a, b in zip(edges[::2], edges[1::2])
+        )
 
     @property
     def measure(self) -> Fraction:
-        return sum((b - a for a, b in self.intervals), ZERO)
-
-    @cached_property
-    def level(self) -> int:
-        """The coarsest dyadic grid on which the set is a union of cells."""
-        if not self.intervals:
-            return 0
-        return max(
-            max(_dyadic_level(a), _dyadic_level(b)) for a, b in self.intervals
-        )
+        return Fraction(self.mask.bit_count(), 1 << self.level)
 
     def union(self, other: "DyadicSet") -> "DyadicSet":
-        return DyadicSet(_normalize(self.intervals + other.intervals))
+        return _combine(self, other, int.__or__)
 
     def intersection(self, other: "DyadicSet") -> "DyadicSet":
-        out: list[Interval] = []
-        for a, b in self.intervals:
-            for c, d in other.intervals:
-                lo, hi = max(a, c), min(b, d)
-                if lo < hi:
-                    out.append((lo, hi))
-        return DyadicSet(_normalize(out))
+        return _combine(self, other, int.__and__)
 
     def complement(self) -> "DyadicSet":
-        out: list[Interval] = []
-        cursor = ZERO
-        for a, b in self.intervals:
-            if cursor < a:
-                out.append((cursor, a))
-            cursor = b
-        if cursor < ONE:
-            out.append((cursor, ONE))
-        return DyadicSet(tuple(out))
+        return DyadicSet(self.level, self.mask ^ ((1 << (1 << self.level)) - 1))
 
     def image(self) -> "DyadicSet":
-        """The forward image under doubling; each interval doubles mod 1."""
-        out: list[Interval] = []
-        for a, b in self.intervals:
-            if b <= HALF:
-                out.append((2 * a, 2 * b))
-            elif a >= HALF:
-                out.append((2 * a - 1, 2 * b - 1))
-            else:
-                out.append((2 * a, ONE))
-                out.append((ZERO, 2 * b - 1))
-        return DyadicSet(_normalize(out))
+        """The forward image under doubling: cell j lands on cell j mod half."""
+        if self.level == 0:
+            return self
+        half = 1 << (self.level - 1)
+        low = (1 << half) - 1
+        return _coarsest(self.level - 1, (self.mask & low) | (self.mask >> half))
 
     def preimage(self) -> "DyadicSet":
-        """The preimage under doubling: both half-scale branch copies."""
-        out: list[Interval] = []
-        for a, b in self.intervals:
-            out.append((a / 2, b / 2))
-            out.append(((a + 1) / 2, (b + 1) / 2))
-        return DyadicSet(_normalize(out))
+        """The preimage under doubling: copies on both halves of the finer grid."""
+        if self.level == 0:
+            return self
+        return DyadicSet(self.level + 1, self.mask | self.mask << (1 << self.level))
 
     def cell_indices(self, level: int) -> tuple[int, ...]:
         """Indices of the level cells the set covers; set level must fit."""
@@ -154,11 +162,7 @@ class DyadicSet:
             raise DyadicValueError(
                 f"set at level {self.level} does not align with level {level}"
             )
-        scale = 1 << level
-        cells: list[int] = []
-        for a, b in self.intervals:
-            cells.extend(range(int(a * scale), int(b * scale)))
-        return tuple(cells)
+        return tuple(_bit_positions(_refine(self.mask, self.level, level)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = " u ".join(f"[{a},{b})" for a, b in self.intervals)
@@ -224,10 +228,6 @@ class DyadicStepFunction:
 
     def __sub__(self, other: "DyadicStepFunction") -> "DyadicStepFunction":
         return self._binary(other, lambda x, y: x - y)
-
-    def scale(self, c: Fraction | int) -> "DyadicStepFunction":
-        c = Fraction(c)
-        return DyadicStepFunction.build(self.level, tuple(c * v for v in self.values))
 
     def integral(self) -> Fraction:
         width = Fraction(1, 1 << self.level)
@@ -319,7 +319,7 @@ def image_measure_limit(a: DyadicSet) -> Fraction:
     cur = a
     for _ in range(a.level + 2):
         nxt = cur.image()
-        if nxt.measure == cur.measure and nxt.intervals == cur.intervals:
+        if nxt == cur:
             break
         cur = nxt
     return cur.measure
@@ -329,7 +329,8 @@ def image_defect(a: DyadicSet, n: int) -> Fraction:
     """sup over B of |mu(phi^n(A) inter B) - lim mu(phi^m(A)) mu(B)|."""
     limit = image_measure_limit(a)
     cur = a
-    for _ in range(n):
+    # after level images the set is empty or full, and images keep it so
+    for _ in range(min(n, a.level)):
         cur = cur.image()
     m_n = cur.measure
     return max((ONE - limit) * m_n, limit * (ONE - m_n))
@@ -345,15 +346,10 @@ def transition_matrix(level: int) -> tuple[tuple[tuple[int, Fraction], ...], ...
     if not 1 <= level <= MAX_LEVEL - 1:
         raise DyadicValueError("level must be between 1 and the guard")
     n = 1 << level
-    width = Fraction(1, n)
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(n)]
+    rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
     for j in range(n):
-        cell = DyadicSet(((Fraction(j, n), Fraction(j + 1, n)),))
-        for lo, hi in cell.preimage().intervals:
-            i = int(lo * n)
-            while Fraction(i, n) < hi:
-                overlap = min(hi, Fraction(i + 1, n)) - max(lo, Fraction(i, n))
-                if overlap > 0:
-                    rows[i][j] = rows[i].get(j, ZERO) + overlap / width
-                i += 1
-    return tuple(tuple(sorted(row.items())) for row in rows)
+        # phi^-1(cell_j) is the level + 1 cells j and j + n: the halves of
+        # cells j // 2 and (j + n) // 2.  Each row fills in increasing j.
+        rows[j >> 1].append((j, HALF))
+        rows[(j + n) >> 1].append((j, HALF))
+    return tuple(tuple(row) for row in rows)

@@ -90,10 +90,6 @@ class MeasurePreservingMap:
         pos_index = self.space.positive_index
         return tuple(pos_index[self.targets[a]] for a in self.space.positive_support)
 
-    @cached_property
-    def is_positive_identity(self) -> bool:
-        return all(p == k for k, p in enumerate(self.positive_permutation))
-
     def image_bits(self, bits: int) -> int:
         out = 0
         table = self.image_atom_bits

@@ -266,12 +266,6 @@ class Density:
             if not isinstance(v, Fraction):
                 raise TypeError("density values must be Fractions")
 
-    @classmethod
-    def from_values(
-        cls, space: FiniteProbabilitySpace, values: Iterable[Fraction | int | str]
-    ) -> "Density":
-        return cls(space, tuple(Fraction(v) for v in values))
-
     def _check(self, other: "Density") -> None:
         self.space._require_same(other.space)
 
@@ -330,9 +324,6 @@ class Density:
         if not vals:
             raise NegativeDensityError("density has no positive values")
         return min(vals)
-
-    def value_at_atom(self, atom_index: int) -> Fraction:
-        return self.values[self.space.positive_index[atom_index]]
 
 
 def indicator(space: FiniteProbabilitySpace, a: MeasurableSet) -> Density:

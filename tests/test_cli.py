@@ -14,6 +14,7 @@ from pfkit import (
     two_atom_swap,
 )
 from pfkit.cli import main
+from pfkit.dyadic import MAX_LEVEL
 from pfkit.ulam import DENSE_MAX_BINS, MAX_BINS, ulam_assemble
 
 
@@ -213,6 +214,13 @@ def test_dyadic_image_profile(runner):
 def test_dyadic_rejects_non_dyadic(runner):
     result = runner.invoke(main, ["dyadic", "--set", "0:1/3"])
     assert result.exit_code == 2
+    assert json.loads(result.output)["error"]["type"] == "DyadicValueError"
+
+
+def test_dyadic_level_above_the_cap(runner):
+    result = runner.invoke(main, ["dyadic", "--set", f"0:1/{2 << MAX_LEVEL}"])
+    assert result.exit_code == 2
+    assert len(result.output.splitlines()) == 1
     assert json.loads(result.output)["error"]["type"] == "DyadicValueError"
 
 

@@ -14,7 +14,7 @@ from pfkit import (
     transfer_apply,
     transition_matrix,
 )
-from pfkit.dyadic import image_measure_limit
+from pfkit.dyadic import MAX_LEVEL, image_measure_limit
 
 F = Fraction
 HALF = F(1, 2)
@@ -43,17 +43,33 @@ def test_endpoints_must_be_dyadic():
         dset((F(-1, 4), F(1, 2)))
     with pytest.raises(DyadicValueError):
         dset((HALF, F(5, 4)))
+    with pytest.raises(DyadicValueError):  # even where a merge would hide it
+        dset((F(0), HALF), (F(1, 3), HALF))
 
 
 def test_level_guard():
-    deep = F(1, 1 << 63)
+    for deep in (F(1, 1 << 63), F(1, 2 << MAX_LEVEL)):
+        with pytest.raises(DyadicValueError):
+            dset((F(0), deep))
+    finest = dset((F(0), F(1, 1 << MAX_LEVEL)))
+    assert finest.level == MAX_LEVEL
     with pytest.raises(DyadicValueError):
-        dset((F(0), deep))
+        finest.preimage()
 
 
-def test_overlap_rejected():
-    with pytest.raises(DyadicValueError):
-        DyadicSet(((F(0), HALF), (QUARTER, F(3, 4))))
+def test_raw_masks_are_checked():
+    assert DyadicSet(2, 0b0001) == dset((F(0), QUARTER))
+    for level, mask in (
+        (1, 0b11),  # the full set belongs at level 0
+        (2, 0b1100),  # [1/2, 1) belongs at level 1
+        (1, 0b101),  # bit 2 lies beyond the two level-1 cells
+        (0, 2),
+        (0, -1),
+        (-1, 0),
+        (MAX_LEVEL + 1, 1),
+    ):
+        with pytest.raises(DyadicValueError):
+            DyadicSet(level, mask)
 
 
 def test_from_pairs_normalizes():
@@ -198,6 +214,11 @@ def test_image_saturates_within_level_steps(a):
     assert all(x <= y for x, y in zip(profile, profile[1:]))
 
 
+@given(dyadic_sets(max_level=5))
+def test_image_defect_is_constant_from_the_level_on(a):
+    assert image_defect(a, 10**9) == image_defect(a, a.level)
+
+
 @given(dyadic_sets(max_level=5), st.integers(0, 6))
 def test_image_defect_formula(a, n):
     cur = a
@@ -239,3 +260,134 @@ def test_transition_matrix_matches_transfer():
     stepped = transfer_apply(f, 1).at_level(level)
     assert sum(out) == sum(vec)
     assert tuple(out) == tuple(stepped)
+
+
+# Test-only oracle: the `DyadicSet` operations over sorted tuples of
+# disjoint, non-adjacent intervals [a, b), in `Fraction` arithmetic with no
+# cell masks.
+
+
+def oracle_normalize(intervals):
+    pairs = sorted((a, b) for a, b in intervals if a < b)
+    merged = []
+    for a, b in pairs:
+        if merged and a <= merged[-1][1]:
+            if b > merged[-1][1]:
+                merged[-1][1] = b
+        else:
+            merged.append([a, b])
+    return tuple((a, b) for a, b in merged)
+
+
+def oracle_level(ivs):
+    return max(
+        (x.denominator.bit_length() - 1 for pair in ivs for x in pair), default=0
+    )
+
+
+def oracle_measure(ivs):
+    return sum((b - a for a, b in ivs), F(0))
+
+
+def oracle_intersection(ivs, others):
+    out = []
+    for a, b in ivs:
+        for c, d in others:
+            lo, hi = max(a, c), min(b, d)
+            if lo < hi:
+                out.append((lo, hi))
+    return oracle_normalize(out)
+
+
+def oracle_complement(ivs):
+    out = []
+    cursor = F(0)
+    for a, b in ivs:
+        if cursor < a:
+            out.append((cursor, a))
+        cursor = b
+    if cursor < 1:
+        out.append((cursor, F(1)))
+    return tuple(out)
+
+
+def oracle_image(ivs):
+    out = []
+    for a, b in ivs:
+        if b <= HALF:
+            out.append((2 * a, 2 * b))
+        elif a >= HALF:
+            out.append((2 * a - 1, 2 * b - 1))
+        else:
+            out.append((2 * a, F(1)))
+            out.append((F(0), 2 * b - 1))
+    return oracle_normalize(out)
+
+
+def oracle_preimage(ivs):
+    out = []
+    for a, b in ivs:
+        out.append((a / 2, b / 2))
+        out.append(((a + 1) / 2, (b + 1) / 2))
+    return oracle_normalize(out)
+
+
+def oracle_cell_indices(ivs, level):
+    scale = 1 << level
+    cells = []
+    for a, b in ivs:
+        cells.extend(range(int(a * scale), int(b * scale)))
+    return tuple(cells)
+
+
+def oracle_transition_matrix(level):
+    n = 1 << level
+    width = F(1, n)
+    rows = [dict() for _ in range(n)]
+    for j in range(n):
+        for lo, hi in oracle_preimage(((F(j, n), F(j + 1, n)),)):
+            i = int(lo * n)
+            while F(i, n) < hi:
+                overlap = min(hi, F(i + 1, n)) - max(lo, F(i, n))
+                if overlap > 0:
+                    rows[i][j] = rows[i].get(j, F(0)) + overlap / width
+                i += 1
+    return tuple(tuple(sorted(row.items())) for row in rows)
+
+
+@st.composite
+def dyadic_pairs(draw, max_level=8):
+    """Random cell sets, or overlapping, adjacent, empty and reversed pairs."""
+    level = draw(st.integers(0, max_level))
+    n = 1 << level
+    if draw(st.booleans()):
+        bits = draw(st.integers(0, (1 << n) - 1))
+        return [(F(i, n), F(i + 1, n)) for i in range(n) if bits >> i & 1]
+    ends = st.integers(0, n).map(lambda k: F(k, n))
+    return draw(st.lists(st.tuples(ends, ends), max_size=8))
+
+
+def assert_matches_oracle(a, ivs):
+    assert a.intervals == ivs
+    assert a.measure == oracle_measure(ivs)
+    assert a.level == oracle_level(ivs)
+    for level in range(a.level, a.level + 3):
+        assert a.cell_indices(level) == oracle_cell_indices(ivs, level)
+
+
+@given(dyadic_pairs(), dyadic_pairs())
+def test_masks_match_the_interval_oracle(pairs, other_pairs):
+    a, b = DyadicSet.from_pairs(pairs), DyadicSet.from_pairs(other_pairs)
+    ivs, others = oracle_normalize(pairs), oracle_normalize(other_pairs)
+    assert_matches_oracle(a, ivs)
+    assert_matches_oracle(a.union(b), oracle_normalize(ivs + others))
+    assert_matches_oracle(a.intersection(b), oracle_intersection(ivs, others))
+    assert_matches_oracle(a.complement(), oracle_complement(ivs))
+    assert_matches_oracle(a.image(), oracle_image(ivs))
+    assert_matches_oracle(a.preimage(), oracle_preimage(ivs))
+    assert (a == b) == (ivs == others)
+
+
+@pytest.mark.parametrize("level", range(1, 9))
+def test_transition_matrix_matches_the_overlap_oracle(level):
+    assert transition_matrix(level) == oracle_transition_matrix(level)
