@@ -492,7 +492,7 @@ def _audit_lower_bound_one(index: int, system: System, rec: _Recorder, rng: Spli
         return
 
     probes = [1 << a for a in space.positive_support[:4]]
-    probes += [b for b in _sample_subsets(rng, bs.full, 4) if space.measure_bits(b) > 0]
+    probes += [b for b in _sample_subsets(rng, bs.full, 4) if space.mass_bits(b) > 0]
     for b_bits in probes:
         b_set = space.set_from_bits(b_bits)
         witness = lower_bound_witness(phi, b_set)
@@ -516,7 +516,7 @@ def _audit_lower_bound_one(index: int, system: System, rec: _Recorder, rng: Spli
     for c in (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2)):
         b_bits = rng.next_u64() & bs.full
         d_bits = rng.next_u64() & bs.full
-        if space.measure_bits(b_bits) == 0 or space.measure_bits(d_bits) == 0:
+        if space.mass_bits(b_bits) == 0 or space.mass_bits(d_bits) == 0:
             continue
         n = rng.randrange(3)
         closed = lower_bound_defect(
@@ -634,7 +634,7 @@ def _audit_uniform_one(index: int, system: System, rec: _Recorder, rng: SplitMix
                 f"B={b_bits:#x} n={n} closed={closed} brute={brute}",
             )
         d_bits = rng.next_u64() & bs.full
-        if space.measure_bits(d_bits) == 0:
+        if space.mass_bits(d_bits) == 0:
             continue
         inside = (subs & (bs.full ^ d_bits)) == 0
         trace_brute = Fraction(int(np.abs(values[inside]).max()), q2)
@@ -658,11 +658,11 @@ def _audit_image_one(index: int, system: System, rec: _Recorder, rng: SplitMix64
 
     # forward image measures never decrease: A sits in the preimage of its image
     for a_bits in _sample_subsets(rng, bs.full, 8) + [1 << a for a in range(bs.k)]:
-        prev = space.measure_bits(a_bits)
+        prev = space.mass_bits(a_bits)
         cur = a_bits
         for _ in range(bs.joint_pre + bs.joint_period + 1):
             cur = phi.image_bits(cur)
-            m_cur = space.measure_bits(cur)
+            m_cur = space.mass_bits(cur)
             if m_cur < prev:
                 rec.fail(index, "image-monotone", f"A={a_bits:#x}")
                 break

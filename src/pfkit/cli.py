@@ -87,9 +87,17 @@ def _resolve_set(space, named, spec: str):
     return space.set_of(labels)
 
 
-def _check_n_max(n_max: int | None) -> None:
-    if n_max is not None and n_max < 0:
-        raise ParseError(f"--n-max must be >= 0, got {n_max}")
+# Caps on the options that set how much work one request does.  Each is
+# checked before the input is read or anything is allocated; a value
+# outside its range exits 2.
+MAX_N_MAX = 1024  # profile steps: --n-max of classify, mixing-profile, dyadic, ulam
+MAX_ORBIT_STEPS = 100_000  # rows of orbit --steps
+MAX_AUDIT_COUNT = 100_000  # generated systems of audit --count
+
+
+def _check_range(option: str, value: int | None, low: int, high: int) -> None:
+    if value is not None and not low <= value <= high:
+        raise ParseError(f"{option} must lie in {low}..{high}, got {value}")
 
 
 @contextmanager
@@ -111,11 +119,11 @@ def main() -> None:
 @main.command("classify")
 @click.argument("system_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--set", "set_spec", default=None, help="Target set for the defect profile.")
-@click.option("--n-max", default=8, show_default=True, help="Profile length.")
+@click.option("--n-max", default=8, show_default=True, help=f"Profile length, 0 to {MAX_N_MAX}.")
 @guarded
 def classify_cmd(system_file: str, set_spec: str | None, n_max: int) -> None:
     """Full convergence classification of a system file."""
-    _check_n_max(n_max)
+    _check_range("--n-max", n_max, 0, MAX_N_MAX)
     space, phi, named = load_system(system_file)
     target = _resolve_set(space, named, set_spec) if set_spec else None
     profile = classify(phi, profile_set=target, n_max=n_max)
@@ -146,13 +154,12 @@ def classify_cmd(system_file: str, set_spec: str | None, n_max: int) -> None:
     default="forward",
     show_default=True,
 )
-@click.option("--steps", default=None, type=int, help="Rows to emit; defaults to one full cycle.")
+@click.option("--steps", default=None, type=int, help=f"Rows to emit, up to {MAX_ORBIT_STEPS}; default one cycle.")
 @click.option("--out", default=None, type=click.Path(dir_okay=False))
 @guarded
 def orbit_cmd(system_file: str, set_spec: str, direction: str, steps: int | None, out: str | None) -> None:
     """Tabulate the forward or backward orbit of a set as CSV."""
-    if steps is not None and steps < 0:
-        raise ParseError(f"--steps must be >= 0, got {steps}")
+    _check_range("--steps", steps, 0, MAX_ORBIT_STEPS)
     space, phi, named = load_system(system_file)
     start = _resolve_set(space, named, set_spec)
     report = set_orbit(phi, start, direction=direction)
@@ -208,7 +215,7 @@ def limit_cmd(system_file: str, fmt: str, out: str | None) -> None:
 )
 @click.option("--trace", "trace_spec", default=None, help="Trace set D (trace/lower kinds).")
 @click.option("--c", "c_text", default="1", show_default=True, help="Lower-bound level c.")
-@click.option("--n-max", default=8, show_default=True)
+@click.option("--n-max", default=8, show_default=True, help=f"0 to {MAX_N_MAX}.")
 @click.option("--out", default=None, type=click.Path(dir_okay=False))
 @guarded
 def mixing_profile_cmd(
@@ -221,7 +228,7 @@ def mixing_profile_cmd(
     out: str | None,
 ) -> None:
     """Defect sequence n=0..n_max for a target set, as CSV."""
-    _check_n_max(n_max)
+    _check_range("--n-max", n_max, 0, MAX_N_MAX)
     space, phi, named = load_system(system_file)
     b = _resolve_set(space, named, set_spec)
     if kind in ("trace", "lower"):
@@ -269,12 +276,12 @@ def _parse_dyadic_set(text: str) -> dy.DyadicSet:
     default="exactness",
     show_default=True,
 )
-@click.option("--n-max", default=None, type=int, help="Defaults to the set level plus two.")
+@click.option("--n-max", default=None, type=int, help=f"0 to {MAX_N_MAX}; default set level + 2.")
 @click.option("--out", default=None, type=click.Path(dir_okay=False))
 @guarded
 def dyadic_cmd(set_spec: str, kind: str, n_max: int | None, out: str | None) -> None:
     """Exact defect profile of a dyadic target under the doubling map."""
-    _check_n_max(n_max)
+    _check_range("--n-max", n_max, 0, MAX_N_MAX)
     target = _parse_dyadic_set(set_spec)
     steps = n_max if n_max is not None else target.level + 2
     if kind == "exactness":
@@ -290,7 +297,7 @@ def dyadic_cmd(set_spec: str, kind: str, n_max: int | None, out: str | None) -> 
 @click.option("--bins", required=True, type=int, help=f"Bin count, 2 to {ul.MAX_BINS}.")
 @click.option("--alpha", default=None, help="Rotation angle as a rational, e.g. 1/3.")
 @click.option("--target-bins", default=None, help="Half-open bin range lo:hi for the profile target.")
-@click.option("--n-max", default=64, show_default=True)
+@click.option("--n-max", default=64, show_default=True, help=f"0 to {MAX_N_MAX}.")
 @click.option("--tol", default=1e-9, show_default=True)
 @click.option("--matrix-out", default=None, type=click.Path(dir_okay=False))
 @guarded
@@ -304,7 +311,7 @@ def ulam_cmd(
     matrix_out: str | None,
 ) -> None:
     """Assemble a bin-transition matrix and report its mixing verdict."""
-    _check_n_max(n_max)
+    _check_range("--n-max", n_max, 0, MAX_N_MAX)
     alpha_value = parse_fraction(alpha) if alpha is not None else None
     model = ul.ulam_assemble(kind, bins, alpha=alpha_value)
     if target_bins is None:
@@ -337,7 +344,7 @@ def ulam_cmd(
 
 @main.command("audit")
 @click.option("--theorem", type=click.Choice(list(AUDIT_NAMES)), default="all", show_default=True)
-@click.option("--count", default=100, show_default=True)
+@click.option("--count", default=100, show_default=True, help=f"1 to {MAX_AUDIT_COUNT}.")
 @click.option(
     "--seed",
     default=0,
@@ -355,6 +362,7 @@ def ulam_cmd(
 @guarded
 def audit_cmd(theorem: str, count: int, seed: int, jobs: int, out: str | None) -> None:
     """Cross-check the convergence equivalences on generated systems."""
+    _check_range("--count", count, 1, MAX_AUDIT_COUNT)
     report = run_audit(theorem, seed, count, jobs=jobs)
     text = json.dumps(report.to_dict())
     if out:

@@ -45,14 +45,15 @@ class MeasurePreservingMap:
         for t in self.targets:
             if not 0 <= t < n:
                 raise ValueError(f"target index {t} out of range")
-        masses = self.space.masses
-        fiber_mass = [Fraction(0)] * n
+        masses = self.space.integer_masses
+        fiber_mass = [0] * n
         for x, y in enumerate(self.targets):
             fiber_mass[y] += masses[x]
         for y in range(n):
             if fiber_mass[y] != masses[y]:
+                actual = Fraction(fiber_mass[y], self.space.common_denominator)
                 raise NotMeasurePreservingError(
-                    self.space.atom_labels[y], masses[y], fiber_mass[y]
+                    self.space.atom_labels[y], self.space.masses[y], actual
                 )
 
     @classmethod

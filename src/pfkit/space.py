@@ -6,8 +6,9 @@ Null atoms (mass zero) are permitted and matter: two sets are identified in
 the measure algebra exactly when they differ by null atoms, and the metric
 d(A, B) = mu(A symdiff B) sees only the positive part.
 
-All arithmetic is exact.  Masses, measures, distances, and density values
-are `fractions.Fraction` throughout; no floats enter this module.
+All arithmetic is exact; no floats enter this module.  Set measures are
+summed as integer numerators over `common_denominator` (`mass_bits`), while
+masses, measures, distances and density values are `fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ class FiniteProbabilitySpace:
                 raise TypeError(f"atom {label!r}: mass must be a Fraction")
             if m < 0:
                 raise ValueError(f"atom {label!r}: negative mass {m}")
-        if sum(self.masses, ZERO) != ONE:
-            raise ValueError(f"masses sum to {sum(self.masses, ZERO)}, expected 1")
-        if all(m == 0 for m in self.masses):
-            raise ValueError("at least one atom must carry positive mass")
+        total, q = sum(self.integer_masses), self.common_denominator
+        if total != q:  # all-zero masses fail here too
+            raise ValueError(f"masses sum to {Fraction(total, q)}, expected 1")
 
     @classmethod
     def from_masses(
@@ -72,10 +72,7 @@ class FiniteProbabilitySpace:
 
     @cached_property
     def positive_mask(self) -> int:
-        bits = 0
-        for i in self.positive_support:
-            bits |= 1 << i
-        return bits
+        return sum(1 << i for i in self.positive_support)
 
     @cached_property
     def positive_index(self) -> dict[int, int]:
@@ -90,7 +87,7 @@ class FiniteProbabilitySpace:
     def integer_masses(self) -> tuple[int, ...]:
         """Masses as integer numerators over `common_denominator`."""
         q = self.common_denominator
-        return tuple(int(m * q) for m in self.masses)
+        return tuple(m.numerator * (q // m.denominator) for m in self.masses)
 
     def atom_index(self, label: str) -> int:
         try:
@@ -98,13 +95,18 @@ class FiniteProbabilitySpace:
         except ValueError:
             raise KeyError(f"unknown atom label {label!r}") from None
 
-    def measure_bits(self, bits: int) -> Fraction:
-        total = ZERO
+    def mass_bits(self, bits: int) -> int:
+        """Mass of the atoms in `bits`, as a numerator over `common_denominator`."""
+        masses = self.integer_masses
+        total = 0
         while bits:
             low = bits & -bits
-            total += self.masses[low.bit_length() - 1]
+            total += masses[low.bit_length() - 1]
             bits ^= low
         return total
+
+    def measure_bits(self, bits: int) -> Fraction:
+        return Fraction(self.mass_bits(bits), self.common_denominator)
 
     def measure(self, a: "MeasurableSet") -> Fraction:
         self._require_same(a.space)
@@ -117,10 +119,7 @@ class FiniteProbabilitySpace:
         return MeasurableSet(self, self.full_mask)
 
     def set_of(self, labels: Iterable[str]) -> "MeasurableSet":
-        bits = 0
-        for lab in labels:
-            bits |= 1 << self.atom_index(lab)
-        return MeasurableSet(self, bits)
+        return self.set_from_indices(self.atom_index(lab) for lab in labels)
 
     def set_from_indices(self, indices: Iterable[int]) -> "MeasurableSet":
         bits = 0
@@ -131,8 +130,6 @@ class FiniteProbabilitySpace:
         return MeasurableSet(self, bits)
 
     def set_from_bits(self, bits: int) -> "MeasurableSet":
-        if bits < 0 or bits > self.full_mask:
-            raise ValueError("bitmask outside the atom range")
         return MeasurableSet(self, bits)
 
     def _require_same(self, other: "FiniteProbabilitySpace") -> None:

@@ -13,6 +13,7 @@ from pfkit import (
     three_point_system,
     two_atom_swap,
 )
+from pfkit import cli
 from pfkit.cli import main
 from pfkit.dyadic import MAX_LEVEL
 from pfkit.ulam import DENSE_MAX_BINS, MAX_BINS, ulam_assemble
@@ -341,6 +342,63 @@ def test_negative_orbit_steps_are_rejected(runner, system_file):
     assert result.exit_code == 2
     assert len(result.output.splitlines()) == 1
     assert json.loads(result.output)["error"]["type"] == "ParseError"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the cap check must come before any work")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "{system}"],
+        ["mixing-profile", "{system}", "--set", "A1"],
+        ["dyadic", "--set", "0:1/4"],
+        ["ulam", "--map", "doubling", "--bins", "16"],
+    ],
+    ids=["classify", "mixing-profile", "dyadic", "ulam"],
+)
+def test_n_max_above_the_cap(runner, system_file, monkeypatch, args):
+    for name in ("load_system", "_parse_dyadic_set"):
+        monkeypatch.setattr(cli, name, _refuse)
+    monkeypatch.setattr(cli.ul, "ulam_assemble", _refuse)
+    argv = [system_file if a == "{system}" else a for a in args]
+    result = runner.invoke(main, argv + ["--n-max", str(cli.MAX_N_MAX + 1)])
+    assert result.exit_code == 2
+    assert len(result.output.splitlines()) == 1
+    error = json.loads(result.output)["error"]
+    assert error["type"] == "ParseError"
+    assert str(cli.MAX_N_MAX) in error["message"]
+
+
+def test_orbit_steps_above_the_cap(runner, system_file, monkeypatch):
+    monkeypatch.setattr(cli, "load_system", _refuse)
+    steps = str(cli.MAX_ORBIT_STEPS + 1)
+    result = runner.invoke(main, ["orbit", system_file, "--set", "A1", "--steps", steps])
+    assert result.exit_code == 2
+    assert len(result.output.splitlines()) == 1
+    assert json.loads(result.output)["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("count", [0, cli.MAX_AUDIT_COUNT + 1])
+def test_audit_count_outside_its_range(runner, monkeypatch, count):
+    monkeypatch.setattr(cli, "run_audit", _refuse)
+    result = runner.invoke(main, ["audit", "--count", str(count), "--jobs", "4"])
+    assert result.exit_code == 2
+    assert len(result.output.splitlines()) == 1
+    assert json.loads(result.output)["error"]["type"] == "ParseError"
+
+
+def test_defaults_sit_inside_the_caps(runner, system_file):
+    argv = ["mixing-profile", system_file, "--set", "A1", "--n-max", str(cli.MAX_N_MAX)]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0
+    assert len(result.output.splitlines()) == cli.MAX_N_MAX + 2
+    for command in (cli.classify_cmd, cli.mixing_profile_cmd, cli.ulam_cmd):
+        default = next(p.default for p in command.params if p.name == "n_max")
+        assert 0 <= default <= cli.MAX_N_MAX
+    count = next(p.default for p in cli.audit_cmd.params if p.name == "count")
+    assert 1 <= count <= cli.MAX_AUDIT_COUNT
 
 
 def _live_stdout_wrappers() -> int:

@@ -33,6 +33,47 @@ def test_mass_transport_must_balance(three_point):
     assert "1/2" in str(exc.value)
 
 
+def test_imbalance_reports_fraction_masses():
+    space = FiniteProbabilitySpace.from_masses(
+        [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)], labels=["a", "b", "c"]
+    )
+    with pytest.raises(NotMeasurePreservingError) as exc:
+        MeasurePreservingMap(space, (0, 0, 2))
+    err = exc.value
+    assert (err.label, err.expected, err.actual) == ("a", Fraction(1, 6), Fraction(1, 2))
+    assert type(err.expected) is Fraction and type(err.actual) is Fraction
+    assert str(err) == "atom 'a': preimage mass 1/2 != atom mass 1/6"
+
+
+def _first_imbalance(space, targets):
+    """The former Fraction fiber check: the first atom whose fiber mass is off."""
+    fiber = [Fraction(0)] * space.atom_count
+    for x, y in enumerate(targets):
+        fiber[y] += space.masses[x]
+    for y, m in enumerate(space.masses):
+        if fiber[y] != m:
+            return space.atom_labels[y], m, fiber[y]
+    return None
+
+
+@given(systems(max_positive=6, max_null=3, denominator_bound=24), st.data())
+def test_mass_balance_matches_the_fraction_oracle(system, data):
+    # a valid map, with up to two targets redrawn at random
+    space, phi = system
+    targets = list(phi.targets)
+    atom = st.integers(0, space.atom_count - 1)
+    for _ in range(data.draw(st.integers(0, 2))):
+        targets[data.draw(atom)] = data.draw(atom)
+    targets = tuple(targets)
+    expected = _first_imbalance(space, targets)
+    try:
+        MeasurePreservingMap(space, targets)
+        actual = None
+    except NotMeasurePreservingError as err:
+        actual = (err.label, err.expected, err.actual)
+    assert actual == expected
+
+
 def test_positive_atom_cannot_reach_null(three_point):
     space, _ = three_point
     with pytest.raises(NotMeasurePreservingError):

@@ -21,13 +21,27 @@ HALF = Fraction(1, 2)
 
 
 def test_masses_must_sum_to_one():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^masses sum to 5/6, expected 1$"):
         FiniteProbabilitySpace(("a", "b"), (HALF, Fraction(1, 3)))
+    with pytest.raises(ValueError, match=r"^masses sum to 7/6, expected 1$"):
+        FiniteProbabilitySpace(("a", "b", "c"), (HALF, Fraction(1, 3), Fraction(1, 3)))
 
 
 def test_masses_must_be_nonnegative():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^atom 'b': negative mass -1/2$"):
         FiniteProbabilitySpace(("a", "b"), (Fraction(3, 2), Fraction(-1, 2)))
+
+
+def test_masses_must_be_fractions():
+    with pytest.raises(TypeError, match="atom 'b': mass must be a Fraction"):
+        FiniteProbabilitySpace(("a", "b"), (HALF, 0.5))
+    with pytest.raises(TypeError):
+        FiniteProbabilitySpace(("a",), (1,))
+
+
+def test_all_zero_masses_are_rejected():
+    with pytest.raises(ValueError, match=r"^masses sum to 0, expected 1$"):
+        FiniteProbabilitySpace(("a", "b"), (Fraction(0), Fraction(0)))
 
 
 def test_labels_must_be_distinct():
@@ -152,3 +166,28 @@ def test_density_equality_is_exact():
     g = constant_density(space, Fraction(1, 3))
     assert f == g
     assert f.integral() == Fraction(1, 3)
+
+
+def _fraction_sum_measure(space, bits):
+    """The former `measure_bits`: one Fraction addition per set atom."""
+    total = Fraction(0)
+    while bits:
+        low = bits & -bits
+        total += space.masses[low.bit_length() - 1]
+        bits ^= low
+    return total
+
+
+@given(spaces(max_positive=20, max_null=4, denominator_bound=48), st.data())
+def test_integer_masses_match_the_fraction_oracle(space, data):
+    q = space.common_denominator
+    assert space.integer_masses == tuple(int(m * q) for m in space.masses)
+    masks = [0, space.positive_mask, space.full_mask]
+    masks += data.draw(st.lists(st.integers(0, space.full_mask), max_size=8))
+    for bits in masks:
+        expected = _fraction_sum_measure(space, bits)
+        mass = space.mass_bits(bits)
+        assert type(mass) is int and Fraction(mass, q) == expected
+        measure = space.measure_bits(bits)
+        assert type(measure) is Fraction and measure == expected
+    assert space.measure_bits(space.full_mask) == space.measure_bits(space.positive_mask) == 1
