@@ -8,7 +8,8 @@ balance atom by atom and caches the induced positive permutation.
 Sub-sigma-algebras of a finite power set are in bijection with partitions
 of the atoms, so the lattice operations here (invariant algebra, preimage
 algebras, their stabilized tail, completions modulo null sets) are all
-partition computations.
+partition computations.  A partition is stored as one atom bitmask per
+block, and those computations OR, AND and compare the masks.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .space import (
     FiniteProbabilitySpace,
     MeasurableSet,
     MeasureAlgebraClass,
+    bit_indices,
 )
 
 
@@ -132,50 +134,53 @@ class MeasurePreservingMap:
         return f"MeasurePreservingMap({arrows})"
 
 
+def _lowest_bit(bits: int) -> int:
+    return bits & -bits
+
+
 @dataclass(frozen=True)
 class SigmaSubAlgebra:
     """A sub-sigma-algebra of the power set, stored as its atom partition.
 
     A subset belongs to the algebra exactly when it is a union of blocks.
-    Blocks are kept in a canonical order (sorted by smallest member) so that
-    equality of partitions is structural equality.
+    The partition is stored only as `block_bits`, one atom bitmask per
+    block, in canonical order (by lowest set bit, i.e. by smallest member),
+    so that equality of partitions is structural equality.  `blocks` is the
+    same partition as tuples of atom indices, derived on demand.
     """
 
     space: FiniteProbabilitySpace
-    blocks: tuple[tuple[int, ...], ...]
+    block_bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
         seen = 0
-        for block in self.blocks:
-            if not block:
-                raise ValueError("empty block")
-            b = 0
-            for i in block:
-                b |= 1 << i
+        for b in self.block_bits:
+            if b <= 0:
+                raise ValueError(f"block {b} is not a nonempty atom bitmask")
             if b & seen:
                 raise ValueError("blocks overlap")
             seen |= b
+        if seen & ~self.space.full_mask:
+            raise ValueError(f"atom index {seen.bit_length() - 1} out of range")
         if seen != self.space.full_mask:
             raise ValueError("blocks must cover every atom")
+        if list(self.block_bits) != sorted(self.block_bits, key=_lowest_bit):
+            raise ValueError("blocks must be ordered by their smallest atom")
 
     @classmethod
     def from_blocks(
         cls, space: FiniteProbabilitySpace, blocks: Iterable[Iterable[int]]
     ) -> "SigmaSubAlgebra":
-        canon = tuple(
-            sorted((tuple(sorted(set(b))) for b in blocks), key=lambda b: b[0])
-        )
-        return cls(space, canon)
+        try:
+            masks = [space.set_from_indices(block).bits for block in blocks]
+        except IndexError as exc:  # an atom index out of range
+            raise ValueError(str(exc)) from None
+        return cls(space, tuple(sorted(masks, key=_lowest_bit)))
 
     @cached_property
-    def block_bits(self) -> tuple[int, ...]:
-        out = []
-        for block in self.blocks:
-            b = 0
-            for i in block:
-                b |= 1 << i
-            out.append(b)
-        return tuple(out)
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks as increasing tuples of atom indices."""
+        return tuple(tuple(bit_indices(b)) for b in self.block_bits)
 
     @cached_property
     def block_of_atom(self) -> tuple[int, ...]:
@@ -196,12 +201,9 @@ class SigmaSubAlgebra:
 
     def member_sets(self) -> Iterable[MeasurableSet]:
         """All sets of the algebra (2^blocks of them); test-scale only."""
-        nb = len(self.blocks)
-        for mask in range(1 << nb):
-            bits = 0
-            for bi in range(nb):
-                if mask >> bi & 1:
-                    bits |= self.block_bits[bi]
+        blk = self.block_bits
+        for mask in range(1 << len(blk)):
+            bits = sum(b for k, b in enumerate(blk) if mask >> k & 1)  # disjoint
             yield MeasurableSet(self.space, bits)
 
     def refines(self, coarser: "SigmaSubAlgebra") -> bool:
@@ -210,18 +212,11 @@ class SigmaSubAlgebra:
         Equivalent to `coarser` being a subfamily of self as a set algebra.
         """
         self.space._require_same(coarser.space)
-        owner = self.block_of_atom
-        blk = self.block_bits
-        for block in coarser.blocks:
-            bits = 0
-            for i in block:
-                bits |= 1 << i
-            union = 0
-            for i in block:
-                union |= blk[owner[i]]
-            if union != bits:
-                return False
-        return True
+        # each block of self must lie in the coarser block of its smallest atom
+        owner, outer = coarser.block_of_atom, coarser.block_bits
+        return all(
+            not b & ~outer[owner[_lowest_bit(b).bit_length() - 1]] for b in self.block_bits
+        )
 
     def completion(self) -> "SigmaSubAlgebra":
         """Completion modulo null sets, within the power set.
@@ -230,19 +225,16 @@ class SigmaSubAlgebra:
         on the positive support, so the completion is the refinement that
         splits every null atom into its own singleton block.
         """
-        posmask = self.space.positive_mask
-        nulls = [(i,) for i in range(self.space.atom_count) if not posmask >> i & 1]
-        return SigmaSubAlgebra.from_blocks(self.space, [*self.positive_blocks(), *nulls])
+        nulls = self.space.full_mask & ~self.space.positive_mask
+        blocks = [*self.positive_blocks(), *(1 << i for i in bit_indices(nulls))]
+        return SigmaSubAlgebra(self.space, tuple(sorted(blocks, key=_lowest_bit)))
 
-    def positive_blocks(self) -> tuple[tuple[int, ...], ...]:
-        """Blocks intersected with the positive support, empty ones dropped."""
+    def positive_blocks(self) -> tuple[int, ...]:
+        """Block bitmasks intersected with the positive support, empty ones
+        dropped, in canonical order."""
         posmask = self.space.positive_mask
-        out = []
-        for block in self.blocks:
-            kept = tuple(i for i in block if posmask >> i & 1)
-            if kept:
-                out.append(kept)
-        return tuple(sorted(out, key=lambda b: b[0]))
+        kept = (b & posmask for b in self.block_bits)
+        return tuple(sorted((b for b in kept if b), key=_lowest_bit))
 
 
 def completions_equal(a: SigmaSubAlgebra, b: SigmaSubAlgebra) -> bool:
@@ -275,20 +267,23 @@ def invariant_algebra(phi: MeasurePreservingMap) -> SigmaSubAlgebra:
         rx, ry = find(x), find(y)
         if rx != ry:
             parent[rx] = ry
-    groups: dict[int, list[int]] = {}
+    # first seen in atom order, so the blocks come out in canonical order
+    groups: dict[int, int] = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return SigmaSubAlgebra.from_blocks(phi.space, groups.values())
+        root = find(i)
+        groups[root] = groups.get(root, 0) | 1 << i
+    return SigmaSubAlgebra(phi.space, tuple(groups.values()))
 
 
 def preimage_algebra(phi: MeasurePreservingMap, n: int) -> SigmaSubAlgebra:
     """The algebra {phi^-n(A)}: the partition into fibers of the n-fold map."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    fibers: dict[int, list[int]] = {}
+    fibers: dict[int, int] = {}
     for x in range(phi.space.atom_count):
-        fibers.setdefault(phi.iterate_atom(x, n), []).append(x)
-    return SigmaSubAlgebra.from_blocks(phi.space, fibers.values())
+        y = phi.iterate_atom(x, n)
+        fibers[y] = fibers.get(y, 0) | 1 << x
+    return SigmaSubAlgebra(phi.space, tuple(fibers.values()))
 
 
 def tail_algebra(phi: MeasurePreservingMap) -> tuple[SigmaSubAlgebra, int]:
@@ -301,7 +296,7 @@ def tail_algebra(phi: MeasurePreservingMap) -> tuple[SigmaSubAlgebra, int]:
     prev = preimage_algebra(phi, 0)
     for n in range(1, phi.space.atom_count + 2):
         cur = preimage_algebra(phi, n)
-        if cur.blocks == prev.blocks:
+        if cur.block_bits == prev.block_bits:
             return prev, n - 1
         prev = cur
     raise AssertionError("preimage chain failed to stabilize within the bound")

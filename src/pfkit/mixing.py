@@ -42,15 +42,6 @@ from .space import (
 )
 
 
-def _positive_block_count(phi: MeasurePreservingMap, blocks) -> int:
-    masses = phi.space.masses
-    count = 0
-    for block in blocks:
-        if any(masses[i] > 0 for i in block):
-            count += 1
-    return count
-
-
 def is_ergodic(phi: MeasurePreservingMap) -> bool:
     """Whether the fixed space of the transfer operator is the constants.
 
@@ -58,7 +49,7 @@ def is_ergodic(phi: MeasurePreservingMap) -> bool:
     of positive mass.
     """
     operator_route = fixed_space_dimension(transfer_operator(phi)) == 1
-    partition_route = _positive_block_count(phi, invariant_algebra(phi).blocks) == 1
+    partition_route = len(invariant_algebra(phi).positive_blocks()) == 1
     if operator_route != partition_route:
         raise DiagnosticInconsistencyError(
             f"ergodicity routes disagree: operator={operator_route} "
@@ -126,7 +117,7 @@ def is_exact(phi: MeasurePreservingMap) -> bool:
     atom's forward image eventually has full measure.
     """
     tail, _ = tail_algebra(phi)
-    tail_route = _positive_block_count(phi, tail.blocks) == 1
+    tail_route = len(tail.positive_blocks()) == 1
 
     p = transfer_operator(phi)
     report = power_sequence(p)

@@ -16,10 +16,10 @@ positive permutation pi without arithmetic.  The dense matrix of
 keep using it so that the two routes check each other.
 
 The oracle is generic exact linear algebra on sparse rows: a `MarkovMatrix`
-keeps the nonzero entries of each row, and every kernel, including the rank
-elimination behind `fixed_space_dimension`, touches only those.  It never
-reads the map's permutation or cycles, so it stays independent of the cycle
-route.
+stores only the nonzero entries of each row, its dense `entries` are a view
+derived on demand, and every kernel, including the rank elimination behind
+`fixed_space_dimension`, touches only the stored rows.  It never reads the
+map's permutation or cycles, so it stays independent of the cycle route.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from typing import Sequence
 
 from .dynamics import MeasurePreservingMap, SigmaSubAlgebra
 from .errors import NegativeDensityError, PeriodDetectionError
@@ -37,6 +38,7 @@ from .space import (
     Density,
     FiniteProbabilitySpace,
     MeasureAlgebraClass,
+    bit_indices,
 )
 
 MAX_STEPS = 4096
@@ -50,48 +52,56 @@ class MarkovMatrix:
     i, so `apply` is a plain row-times-vector product.  `weights` are the
     positive atom masses, fixing the pairing used for adjoints.
 
-    `entries` is the public dense view.  The kernels read `rows`, the
-    nonzero (column, value) pairs of each row, computed once: a transfer
-    matrix has one nonzero per row, and a dropped 0 * f[j] term leaves an
-    exact sum unchanged.  Nothing here reads the map or its cycles, so the
-    matrix stays an oracle independent of `transfer_power`.
+    The matrix is stored only as `rows`, the nonzero (column, value) pairs
+    of each row with columns strictly increasing.  That form is unique, so
+    equality and hashing are structural, and a dropped 0 * f[j] term leaves
+    an exact sum unchanged.  `entries` is the dense view, built on demand;
+    `from_entries` builds a matrix from dense rows.  Nothing here reads the
+    map or its cycles, so the matrix stays independent of `transfer_power`.
     """
 
     space: FiniteProbabilitySpace
-    entries: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[tuple[int, Fraction], ...], ...]
 
     def __post_init__(self) -> None:
         d = len(self.space.positive_support)
-        if len(self.entries) != d or any(len(row) != d for row in self.entries):
+        if len(self.rows) != d:
             raise ValueError("matrix shape must match the positive support")
+        checked = None
+        for i, row in enumerate(self.rows):
+            if row is checked:
+                continue  # a shared row, as in `rank_one_projection`
+            checked, prev = row, -1
+            for j, v in row:
+                if not prev < j < d:
+                    raise ValueError(f"row {i}: column {j} out of range or out of order")
+                if not v:
+                    raise ValueError(f"row {i}: stored values must be nonzero")
+                prev = j
 
     @classmethod
-    def _from_rows(
-        cls, space: FiniteProbabilitySpace, rows: list[list[tuple[int, Fraction]]]
+    def from_entries(
+        cls, space: FiniteProbabilitySpace, entries: Sequence[Sequence[Fraction]]
     ) -> "MarkovMatrix":
-        """The matrix with the given nonzero (column, value) pairs per row,
-        columns increasing, building the dense view from them."""
-        d = len(rows)
-        dense = []
-        for row in rows:
-            full = [ZERO] * d
-            for j, v in row:
-                full[j] = v
-            dense.append(tuple(full))
-        m = cls(space, tuple(dense))
-        m.__dict__["rows"] = tuple(tuple(row) for row in rows)
-        return m
+        """The matrix with the given dense d x d rows."""
+        d = len(space.positive_support)
+        if len(entries) != d or any(len(row) != d for row in entries):
+            raise ValueError("matrix shape must match the positive support")
+        rows = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in entries)
+        return cls(space, rows)
 
     @property
     def dimension(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     @cached_property
-    def rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """The nonzero (column, value) pairs of each row, columns increasing."""
-        return tuple(
-            tuple((j, v) for j, v in enumerate(row) if v) for row in self.entries
-        )
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense view: row i lists all d values, zeros included."""
+        dense = [[ZERO] * self.dimension for _ in self.rows]
+        for full, row in zip(dense, self.rows):
+            for j, v in row:
+                full[j] = v
+        return tuple(map(tuple, dense))
 
     @cached_property
     def weights(self) -> tuple[Fraction, ...]:
@@ -119,8 +129,8 @@ class MarkovMatrix:
             for k, v in row:
                 for j, w in other_rows[k]:
                     acc[j] = acc.get(j, ZERO) + v * w
-            out.append(sorted((j, x) for j, x in acc.items() if x))
-        return MarkovMatrix._from_rows(self.space, out)
+            out.append(tuple(sorted((j, x) for j, x in acc.items() if x)))
+        return MarkovMatrix(self.space, tuple(out))
 
     __matmul__ = compose
 
@@ -131,7 +141,7 @@ class MarkovMatrix:
         for i, row in enumerate(self.rows):
             for j, v in row:
                 out[j].append((i, w[i] * v / w[j]))
-        return MarkovMatrix._from_rows(self.space, out)
+        return MarkovMatrix(self.space, tuple(map(tuple, out)))
 
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for row in self.rows for _, v in row)
@@ -177,7 +187,7 @@ class MarkovMatrix:
 
 def identity_matrix(space: FiniteProbabilitySpace) -> MarkovMatrix:
     d = len(space.positive_support)
-    return MarkovMatrix._from_rows(space, [[(i, ONE)] for i in range(d)])
+    return MarkovMatrix(space, tuple(((i, ONE),) for i in range(d)))
 
 
 def transfer_operator(phi: MeasurePreservingMap) -> MarkovMatrix:
@@ -195,25 +205,23 @@ def transfer_operator(phi: MeasurePreservingMap) -> MarkovMatrix:
     fibers: dict[int, list[int]] = {}
     for k, x in enumerate(pos):
         fibers.setdefault(phi.targets[x], []).append(k)
-    rows = [
-        [(k, masses[pos[k]] / masses[y]) for k in fibers.get(y, ())] for y in pos
-    ]
-    return MarkovMatrix._from_rows(space, rows)
+    rows = tuple(
+        tuple((k, masses[pos[k]] / masses[y]) for k in fibers.get(y, ())) for y in pos
+    )
+    return MarkovMatrix(space, rows)
 
 
 def koopman_operator(phi: MeasurePreservingMap) -> MarkovMatrix:
     """The composition operator f -> f o phi on the positive atoms."""
     pos_index = phi.space.positive_index
-    rows = [[(pos_index[phi.targets[x]], ONE)] for x in phi.space.positive_support]
-    return MarkovMatrix._from_rows(phi.space, rows)
+    rows = tuple(((pos_index[phi.targets[x]], ONE),) for x in phi.space.positive_support)
+    return MarkovMatrix(phi.space, rows)
 
 
 def rank_one_projection(space: FiniteProbabilitySpace) -> MarkovMatrix:
     """The averaging projection f -> integral(f) * 1."""
-    pos = space.positive_support
-    masses = space.masses
-    row = tuple(masses[a] for a in pos)
-    return MarkovMatrix(space, tuple(row for _ in pos))
+    row = tuple((k, space.masses[a]) for k, a in enumerate(space.positive_support))
+    return MarkovMatrix(space, (row,) * len(row))
 
 
 @dataclass(frozen=True)
@@ -245,10 +253,6 @@ def _detect_cycle(first, step, key, max_steps: int) -> tuple[int, int, list]:
     raise PeriodDetectionError(f"no repeat within {max_steps} steps")
 
 
-def _matrix_key(m: MarkovMatrix) -> tuple:
-    return tuple(tuple((v.numerator, v.denominator) for v in row) for row in m.entries)
-
-
 def power_sequence(m: MarkovMatrix) -> LimitReport:
     """Exact eventual periodicity of (M^n) starting from M^0 = I.
 
@@ -264,7 +268,8 @@ def power_sequence(m: MarkovMatrix) -> LimitReport:
             converges, 0, period, identity_matrix(m.space) if converges else None
         )
     ident = identity_matrix(m.space)
-    pre, period, seq = _detect_cycle(ident, lambda x: x @ m, _matrix_key, MAX_STEPS)
+    # the rows are unique per matrix, so they serve as its hash key
+    pre, period, seq = _detect_cycle(ident, lambda x: x @ m, lambda x: x.rows, MAX_STEPS)
     converges = period == 1
     return LimitReport(converges, pre, period, seq[pre] if converges else None)
 
@@ -345,16 +350,16 @@ def cesaro_limit(m: MarkovMatrix) -> MarkovMatrix:
     power = identity_matrix(m.space)
     for _ in range(report.preperiod):
         power = power @ m
-    d = m.dimension
-    acc = [[ZERO] * d for _ in range(d)]
+    acc: list[dict[int, Fraction]] = [{} for _ in range(m.dimension)]
     for _ in range(report.period):
-        for i in range(d):
-            row = power.entries[i]
-            for j in range(d):
-                acc[i][j] += row[j]
+        for total, row in zip(acc, power.rows):
+            for j, v in row:
+                total[j] = total.get(j, ZERO) + v
         power = power @ m
     q = Fraction(report.period)
-    rows = tuple(tuple(v / q for v in row) for row in acc)
+    rows = tuple(
+        tuple((j, total[j] / q) for j in sorted(total) if total[j]) for total in acc
+    )
     return MarkovMatrix(m.space, rows)
 
 
@@ -369,18 +374,12 @@ def conditional_expectation(
     masses = space.masses
     pos_index = space.positive_index
     out = [ZERO] * len(space.positive_support)
-    for block in algebra.blocks:
-        block_mass = sum((masses[i] for i in block), ZERO)
-        if block_mass == 0:
-            continue
-        total = sum(
-            (f.values[pos_index[i]] * masses[i] for i in block if i in pos_index),
-            ZERO,
-        )
-        avg = total / block_mass
-        for i in block:
-            if i in pos_index:
-                out[pos_index[i]] = avg
+    for block in algebra.positive_blocks():
+        atoms = list(bit_indices(block))
+        total = sum((f.values[pos_index[i]] * masses[i] for i in atoms), ZERO)
+        avg = total / space.measure_bits(block)
+        for i in atoms:
+            out[pos_index[i]] = avg
     return Density(space, tuple(out))
 
 

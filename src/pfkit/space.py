@@ -25,6 +25,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def bit_indices(bits: int) -> Iterator[int]:
+    """The positions of the set bits of a nonnegative int, increasing."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 @dataclass(frozen=True)
 class FiniteProbabilitySpace:
     """A finite set of labelled atoms with rational masses summing to one."""
@@ -182,11 +190,7 @@ class MeasurableSet:
         return self.bits & ~other.bits == 0
 
     def atoms(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return bit_indices(self.bits)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.space.atom_labels[i] for i in self.atoms())

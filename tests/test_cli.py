@@ -13,7 +13,7 @@ from pfkit import (
     three_point_system,
     two_atom_swap,
 )
-from pfkit import cli
+from pfkit import cli, systemio
 from pfkit.cli import main
 from pfkit.dyadic import MAX_LEVEL
 from pfkit.ulam import DENSE_MAX_BINS, MAX_BINS, ulam_assemble
@@ -165,6 +165,18 @@ def test_mistyped_system_file(runner, tmp_path):
     assert result.exit_code == 2
     assert result.output.count("\n") == 1
     assert json.loads(result.output)["error"]["type"] == "ParseError"
+
+
+def test_too_many_atoms_is_an_input_error(runner, tmp_path):
+    labels = [f"a{i}" for i in range(systemio.MAX_ATOMS + 1)]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"atoms": labels, "masses": ["0"] * len(labels), "map": labels}))
+    result = runner.invoke(main, ["limit", str(big)])
+    assert result.exit_code == 2
+    assert result.output.count("\n") == 1
+    error = json.loads(result.output)["error"]
+    assert error["type"] == "ParseError"
+    assert str(systemio.MAX_ATOMS) in error["message"]
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from pfkit import (
     tail_algebra,
 )
 
-from conftest import systems
+from conftest import spaces, systems
 
 HALF = Fraction(1, 2)
 
@@ -119,6 +119,120 @@ def test_algebra_blocks_validation(three_point):
         SigmaSubAlgebra.from_blocks(space, [(0, 1)])  # atom 2 uncovered
     with pytest.raises(ValueError):
         SigmaSubAlgebra.from_blocks(space, [(0, 1), (1, 2)])  # overlap
+    with pytest.raises(ValueError, match="empty"):
+        SigmaSubAlgebra.from_blocks(space, [(0, 1, 2), ()])
+    for index in (3, 5, -1):
+        with pytest.raises(ValueError, match=f"atom index {index} out of range"):
+            SigmaSubAlgebra.from_blocks(space, [(0, 1), (2, index)])
+    # the stored form: nonempty disjoint masks covering the atoms, by lowest bit
+    for block_bits, message in [
+        ((0b011, 0, 0b100), "nonempty"),
+        ((-1,), "nonempty"),
+        ((0b011, 0b110), "overlap"),
+        ((0b011, 0b100, 0b1000), "atom index 3 out of range"),
+        ((0b011,), "cover every atom"),
+        ((0b110, 0b001), "ordered"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            SigmaSubAlgebra(space, block_bits)
+    assert SigmaSubAlgebra(space, (0b101, 0b010)).blocks == ((0, 2), (1,))
+
+
+# The tuple-of-indices partition code that the block bitmasks replaced, kept
+# as an oracle for the views derived from them.
+
+
+def _old_canonical(blocks):
+    return tuple(sorted((tuple(sorted(set(b))) for b in blocks), key=lambda b: b[0]))
+
+
+def _old_bits(block):
+    bits = 0
+    for i in block:
+        bits |= 1 << i
+    return bits
+
+
+def _old_block_of_atom(blocks, n):
+    owner = [0] * n
+    for bi, block in enumerate(blocks):
+        for i in block:
+            owner[i] = bi
+    return tuple(owner)
+
+
+def _old_contains(blocks, bits):
+    for block in blocks:
+        b = _old_bits(block)
+        inter = bits & b
+        if inter != 0 and inter != b:
+            return False
+    return True
+
+
+def _old_refines(fine, coarse, n):
+    owner = _old_block_of_atom(fine, n)
+    for block in coarse:
+        union = 0
+        for i in block:
+            union |= _old_bits(fine[owner[i]])
+        if union != _old_bits(block):
+            return False
+    return True
+
+
+def _old_positive_blocks(space, blocks):
+    posmask = space.positive_mask
+    out = []
+    for block in blocks:
+        kept = tuple(i for i in block if posmask >> i & 1)
+        if kept:
+            out.append(kept)
+    return tuple(sorted(out, key=lambda b: b[0]))
+
+
+def _old_completion(space, blocks):
+    posmask = space.positive_mask
+    nulls = [(i,) for i in range(space.atom_count) if not posmask >> i & 1]
+    return _old_canonical([*_old_positive_blocks(space, blocks), *nulls])
+
+
+def _groups(labels):
+    """The atoms sharing each label, as lists in first-seen order."""
+    groups = {}
+    for atom, label in enumerate(labels):
+        groups.setdefault(label, []).append(atom)
+    return list(groups.values())
+
+
+@given(spaces(max_positive=6, max_null=4), st.data())
+def test_block_views_match_the_tuple_partition_oracle(space, data):
+    n = space.atom_count
+    labelings = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    labels, merge, other = data.draw(labelings), data.draw(labelings), data.draw(labelings)
+    # blocks in any order, members in any order, a member given twice
+    raw = [data.draw(st.permutations(g)) for g in _groups(labels)]
+    raw = data.draw(st.permutations([b + b[:1] for b in raw]))
+    alg = SigmaSubAlgebra.from_blocks(space, raw)
+    old = _old_canonical(raw)
+
+    assert alg.blocks == old
+    assert alg.block_bits == tuple(_old_bits(b) for b in old)
+    assert alg.block_of_atom == _old_block_of_atom(old, n)
+    positive = tuple(space.set_from_bits(b).atoms() for b in alg.positive_blocks())
+    assert tuple(map(tuple, positive)) == _old_positive_blocks(space, old)
+    assert alg.completion().blocks == _old_completion(space, old)
+    assert SigmaSubAlgebra.from_blocks(space, alg.blocks) == alg
+    merged = [merge[label] for label in labels]  # a coarsening of alg
+    assert alg.refines(SigmaSubAlgebra.from_blocks(space, _groups(merged)))
+    for coarse_labels in (merged, other):
+        coarse = SigmaSubAlgebra.from_blocks(space, _groups(coarse_labels))
+        coarse_old = _old_canonical(_groups(coarse_labels))
+        assert alg.refines(coarse) == _old_refines(old, coarse_old, n)
+        assert coarse.refines(alg) == _old_refines(coarse_old, old, n)
+    union = sum(b for b in alg.block_bits if data.draw(st.booleans()))
+    for bits in (union, data.draw(st.integers(0, space.full_mask))):
+        assert alg.contains_set(space.set_from_bits(bits)) == _old_contains(old, bits)
 
 
 def test_algebra_membership(three_point):

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pfkit import (
+    FiniteProbabilitySpace,
+    MeasurePreservingMap,
     MixingProfile,
     NullTraceError,
     classify,
@@ -234,3 +236,73 @@ def test_uniform_defect_of_atom_is_stationary(system, n):
         b = space.set_from_indices([a])
         mu = space.masses[a]
         assert uniform_mixing_defect(phi, b, n) == mu * (1 - mu)
+
+
+@st.composite
+def cycle_type_systems(draw, max_positive=512):
+    """A positive permutation of equal-mass classes, plus null atoms mapped
+    anywhere, with the atoms shuffled; returns the space, the map and the
+    positive permutation (atom -> atom)."""
+    k = draw(st.one_of(st.just(max_positive), st.integers(1, max_positive)))
+    cuts = sorted(draw(st.sets(st.integers(1, k - 1), max_size=3))) if k > 1 else []
+    classes = [range(lo, hi) for lo, hi in zip([0, *cuts], [*cuts, k])]
+    weights = [draw(st.integers(1, 3)) for _ in classes]
+    total = sum(w * len(c) for w, c in zip(weights, classes))
+    masses = [Fraction(w, total) for w, c in zip(weights, classes) for _ in c]
+    perm = list(range(k))
+    for members in classes:
+        shape = draw(st.sampled_from(["identity", "one cycle", "any"]))
+        if shape == "any":
+            for src, dst in zip(members, draw(st.permutations(members))):
+                perm[src] = dst
+        elif shape == "one cycle":  # follow a drawn order around one loop
+            order = draw(st.permutations(members))
+            for src, dst in zip(order, order[1:] + order[:1]):
+                perm[src] = dst
+    nulls = draw(st.integers(0, 3))
+    n = k + nulls
+    place = draw(st.permutations(range(n)))  # position of each logical atom
+    targets = [0] * n
+    for x in range(k):
+        targets[place[x]] = place[perm[x]]
+    for x in range(k, n):
+        targets[place[x]] = draw(st.integers(0, n - 1))
+    space = FiniteProbabilitySpace.from_masses(
+        [masses[x] if x < k else 0 for x in sorted(range(n), key=place.__getitem__)]
+    )
+    cycle = {place[x]: place[perm[x]] for x in range(k)}
+    return space, MeasurePreservingMap(space, tuple(targets)), cycle
+
+
+def _cycle_count(cycle):
+    seen, count = set(), 0
+    for start in cycle:
+        if start not in seen:
+            count += 1
+            x = start
+            while x not in seen:
+                seen.add(x)
+                x = cycle[x]
+    return count
+
+
+@settings(max_examples=25)
+@given(cycle_type_systems(), st.data())
+def test_classify_matches_the_cycle_type(case, data):
+    """On a finite system every verdict follows from the cycle type of the
+    positive permutation, at sizes the audits never reach."""
+    space, phi, cycle = case
+    pos = space.positive_mask
+    b_bits = data.draw(st.integers(1, space.full_mask).filter(lambda b: b & pos))
+    b = space.set_from_bits(b_bits)
+    profile = classify(phi, profile_set=b, n_max=2)
+    identity = all(x == y for x, y in cycle.items())
+    assert profile.ergodic == (_cycle_count(cycle) == 1)
+    assert profile.mixing == profile.exact == (len(cycle) == 1)
+    assert profile.powers_converge == identity
+    if identity:
+        assert profile.witness == (space.set_from_bits(b_bits & pos), 1)
+    else:
+        assert profile.witness is None
+    mu = b.measure
+    assert profile.defects == (mu * (1 - mu),) * 3

@@ -156,14 +156,18 @@ def p_key(m):
 def test_permutation_structure_needs_unit_entries(swap):
     space, _ = swap
     zero, one = Fraction(0), Fraction(1)
-    assert MarkovMatrix(space, ((zero, one), (one, zero))).permutation_structure() == (1, 0)
+
+    def structure(entries):
+        return MarkovMatrix.from_entries(space, entries).permutation_structure()
+
+    assert structure(((zero, one), (one, zero))) == (1, 0)
     # a single nonzero that is not 1
-    assert MarkovMatrix(space, ((HALF, zero), (zero, one))).permutation_structure() is None
+    assert structure(((HALF, zero), (zero, one))) is None
     # two nonzeros in one row, one of them 1
-    assert MarkovMatrix(space, ((one, HALF), (zero, one))).permutation_structure() is None
-    assert MarkovMatrix(space, ((HALF, HALF), (HALF, HALF))).permutation_structure() is None
+    assert structure(((one, HALF), (zero, one))) is None
+    assert structure(((HALF, HALF), (HALF, HALF))) is None
     # unit rows that are not a bijection
-    assert MarkovMatrix(space, ((one, zero), (one, zero))).permutation_structure() is None
+    assert structure(((one, zero), (one, zero))) is None
 
 
 def _cycle_lengths(perm):
@@ -293,7 +297,7 @@ def rational_matrices(draw, space):
             for i in range(d):
                 for j in range(d):
                     rows[i][j] += u[i] * v[j]
-    return MarkovMatrix(space, tuple(tuple(row) for row in rows))
+    return MarkovMatrix.from_entries(space, tuple(tuple(row) for row in rows))
 
 
 @given(spaces(max_positive=8).flatmap(rational_matrices))
@@ -369,6 +373,7 @@ def test_sparse_kernels_match_the_dense_formulas(system, data):
     p = transfer_operator(phi)
     cases = [m, proj, proj @ p, p @ proj, proj @ m]
     for a, b in zip(cases, cases[1:] + cases[:1]):
+        assert MarkovMatrix.from_entries(space, a.entries) == a
         values = data.draw(st.lists(_sparse_fractions, min_size=d, max_size=d))
         f = Density(space, tuple(values))
         assert a.apply(f).values == _dense_apply(a, f)
@@ -406,7 +411,22 @@ def test_fixed_space_dimension(three_point, swap):
 
 def test_matrix_shape_validation(swap):
     space, _ = swap
-    with pytest.raises(ValueError):
-        MarkovMatrix(space, ((HALF, HALF),))
-    lopsided = MarkovMatrix(space, ((HALF, HALF), (Fraction(1), Fraction(1))))
+    one = Fraction(1)
+    for entries in [((HALF, HALF),), ((HALF, HALF), (one,)), ((HALF, HALF, HALF),) * 2]:
+        with pytest.raises(ValueError):
+            MarkovMatrix.from_entries(space, entries)
+    # the stored rows: (column, value) pairs, columns increasing, values nonzero
+    for rows, message in [
+        ((((0, one),),), "shape"),  # one row for two positive atoms
+        ((((0, one),),) * 3, "shape"),
+        ((((2, one),), ((0, one),)), "column 2"),  # column out of range
+        ((((-1, one),), ((0, one),)), "column -1"),
+        ((((1, HALF), (0, HALF)), ((0, one),)), "column 0"),  # decreasing
+        ((((0, HALF), (0, HALF)), ((0, one),)), "column 0"),  # repeated
+        ((((0, Fraction(0)), (1, one)), ((0, one),)), "nonzero"),  # stored zero
+    ]:
+        with pytest.raises(ValueError, match=message):
+            MarkovMatrix(space, rows)
+    lopsided = MarkovMatrix.from_entries(space, ((HALF, HALF), (one, one)))
+    assert lopsided.rows == (((0, HALF), (1, HALF)), ((0, one), (1, one)))
     assert not lopsided.is_bimarkov()

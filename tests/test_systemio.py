@@ -19,7 +19,7 @@ from pfkit import (
     three_point_system,
     transfer_operator,
 )
-from pfkit.systemio import write_matrix_csv, write_orbit_csv, write_profile_csv
+from pfkit.systemio import MAX_ATOMS, write_matrix_csv, write_orbit_csv, write_profile_csv
 
 
 def test_parse_fraction():
@@ -110,6 +110,20 @@ _GOOD = {"atoms": ["a"], "masses": ["1"], "map": ["a"]}
 def test_field_types_are_checked(override):
     with pytest.raises(ParseError):
         system_from_dict({**_GOOD, **override})
+
+
+def test_atom_count_is_capped_before_masses_are_parsed():
+    labels = [f"a{i}" for i in range(MAX_ATOMS + 1)]
+    # unparseable masses: the cap must fire before any of them is read
+    doc = {"atoms": labels, "masses": ["x"] * len(labels), "map": labels}
+    with pytest.raises(ParseError, match=f"at most {MAX_ATOMS} atoms"):
+        system_from_dict(doc)
+    doc["masses"] = [f"1/{MAX_ATOMS}"] * MAX_ATOMS
+    doc["atoms"] = doc["map"] = labels[:MAX_ATOMS]
+    space, _, _ = system_from_dict(doc)
+    assert space.atom_count == MAX_ATOMS
+    # at least the d=512 classify scale, and every benchmark input (<= 132)
+    assert MAX_ATOMS >= 512
 
 
 def test_schema_version_gate():
