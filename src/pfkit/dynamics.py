@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Literal
 
-from .errors import NotMeasurePreservingError
+from .errors import NotMeasurePreservingError, OrbitTooLongError
 from .space import (
     FiniteProbabilitySpace,
     MeasurableSet,
@@ -92,6 +92,29 @@ class MeasurePreservingMap:
         """
         pos_index = self.space.positive_index
         return tuple(pos_index[self.targets[a]] for a in self.space.positive_support)
+
+    @cached_property
+    def positive_cycles(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The cycles of phi on the positive atoms, by smallest atom.
+
+        Each entry is (atoms in orbit order a, phi(a), phi^2(a), ...,
+        bitmask of those atoms).
+        """
+        cycles = []
+        seen = 0
+        for start in self.space.positive_support:
+            if seen >> start & 1:
+                continue
+            atoms = [start]
+            mask = 1 << start
+            x = self.targets[start]
+            while x != start:
+                atoms.append(x)
+                mask |= 1 << x
+                x = self.targets[x]
+            seen |= mask
+            cycles.append((tuple(atoms), mask))
+        return tuple(cycles)
 
     def image_bits(self, bits: int) -> int:
         out = 0
@@ -337,6 +360,12 @@ class OrbitReport:
 
 Direction = Literal["forward", "backward"]
 
+# Most sets `set_orbit` lists before it gives up.  A set's orbit is as long
+# as the lcm of the cycle lengths it meets, which no power of the atom count
+# bounds: one atom on each cycle of lengths 2, 3, ..., 17 (58 atoms) needs
+# 510,510 steps, and with cycles of 19 and 23 added (100 atoms) 2.2e8.
+MAX_ORBIT_LENGTH = 100_000
+
 
 def set_orbit(
     phi: MeasurePreservingMap, a: MeasurableSet, direction: Direction = "forward"
@@ -345,6 +374,8 @@ def set_orbit(
 
     The step map is a function on a finite set of bitmasks, so the orbit is
     eventually periodic; the first repeat pins down preperiod and period.
+    Raises OrbitTooLongError when preperiod plus period would exceed
+    MAX_ORBIT_LENGTH.
     """
     phi.space._require_same(a.space)
     if direction == "forward":
@@ -358,6 +389,10 @@ def set_orbit(
     seq: list[int] = []
     cur = a.bits
     while cur not in seen:
+        if len(seq) == MAX_ORBIT_LENGTH:
+            raise OrbitTooLongError(
+                f"set orbit does not repeat within {MAX_ORBIT_LENGTH} steps"
+            )
         seen[cur] = len(seq)
         seq.append(cur)
         cur = step(cur)

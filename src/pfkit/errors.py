@@ -49,6 +49,10 @@ class PeriodDetectionError(PfkitError):
     """A power sequence did not revisit a state within the step budget."""
 
 
+class OrbitTooLongError(PfkitError):
+    """A set orbit did not repeat within `dynamics.MAX_ORBIT_LENGTH` steps."""
+
+
 class BadBinCountError(PfkitError):
     """An Ulam discretization was requested with an unusable bin count."""
 

@@ -9,6 +9,20 @@ The suprema over measurable sets that appear in the defect definitions are
 never enumerated here: on a power set the extremal set for integral(g over A)
 is {g > 0}, so each defect collapses to positive/negative-part integrals.
 Brute-force enumeration survives only in tests and audits as an oracle.
+
+Measure preservation makes phi permute the positive atoms (pi), so the
+transfer operator acts as f -> f o pi^-1 and P^n 1_B = 1_{B_n} with
+B_n = phi^n(B inter positive support).  The lower-bound, trace and image
+defects are therefore a few set masses, summed as integer numerators over
+`common_denominator` and returned as one Fraction per call:
+
+- lower bound: -(c mu(D minus B_n) + max(c - 1, 0) mu(D inter B_n))
+- trace: max(mu(B_n inter D)(1 - mu(B)), mu(B) mu(D minus B_n))
+- image: max((1 - a) mu(phi^n(A)), a (1 - mu(phi^n(A)))), a = lim mu(phi^m(A))
+
+B_n costs O(d) for any n: each atom of B moves n mod its cycle length
+along its cycle of `phi.positive_cycles`.  The uniform defect still takes
+the Density route through `transfer_power`.
 """
 
 from __future__ import annotations
@@ -34,7 +48,6 @@ from .operators import (
 )
 from .space import (
     ONE,
-    ZERO,
     Density,
     MeasurableSet,
     constant_density,
@@ -149,23 +162,59 @@ def uniform_mixing_defect(
     return max(g.positive_part().integral(), g.negative_part().integral())
 
 
+def _positive_image_bits(phi: MeasurePreservingMap, bits: int, n: int) -> int:
+    """phi^n(A inter positive support) for the set A given by `bits`.
+
+    Each positive atom of A moves n mod its cycle length along its cycle of
+    `phi.positive_cycles`, so the cost is O(d) for any n.
+    """
+    out = 0
+    for atoms, mask in phi.positive_cycles:
+        hit = bits & mask
+        if not hit:
+            continue
+        shift = n % len(atoms)
+        if hit == mask or shift == 0:
+            out |= hit
+            continue
+        for i, atom in enumerate(atoms):
+            if hit >> atom & 1:
+                out |= 1 << atoms[i + shift - len(atoms)]  # wraps round
+    return out
+
+
+def _trace_masses(
+    phi: MeasurePreservingMap, b: MeasurableSet, d: MeasurableSet, n: int
+) -> tuple[int, int]:
+    """Numerators of mu(D inter B_n) and mu(D minus B_n), B_n as above.
+
+    Validates the trace set and n on the way.
+    """
+    space = phi.space
+    d_mass = space.mass_bits(d.bits)
+    if d_mass == 0:
+        raise NullTraceError("trace set must have positive mass")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    inside = space.mass_bits(d.bits & _positive_image_bits(phi, b.bits, n))
+    return inside, d_mass - inside
+
+
 def trace_mixing_defect(
     phi: MeasurePreservingMap, b: MeasurableSet, d: MeasurableSet, n: int
 ) -> Fraction:
-    """The same supremum restricted to subsets of the trace set D.
+    """The uniform supremum restricted to subsets of the trace set D.
 
-    P^n 1_B comes from `transfer_power`.
+    With g = P^n 1_B - mu(B) = 1_{B_n} - mu(B) the extremal subsets of D are
+    D inter B_n and D minus B_n, so the defect is
+    max(mu(B_n inter D)(1 - mu(B)), mu(B) mu(D minus B_n)).
     """
     phi.space._require_same(b.space)
     phi.space._require_same(d.space)
-    if d.measure == 0:
-        raise NullTraceError("trace set must have positive mass")
-    g = transfer_power(phi, indicator(phi.space, b), n) - constant_density(
-        phi.space, b.measure
-    )
-    return max(
-        g.positive_part().integral_over(d), g.negative_part().integral_over(d)
-    )
+    inside, outside = _trace_masses(phi, b, d, n)
+    q = phi.space.common_denominator
+    m_b = phi.space.mass_bits(b.bits)
+    return Fraction(max(inside * (q - m_b), m_b * outside), q * q)
 
 
 def lower_bound_defect(
@@ -177,19 +226,20 @@ def lower_bound_defect(
 ) -> Fraction:
     """inf over A of (mu(phi^-n(A) inter B) - c mu(D inter A)); always <= 0.
 
-    The infimum of integral over A of (P^n 1_B - c 1_D) is attained on the
-    strict negativity set, giving minus the negative-part mass.  P^n 1_B
-    comes from `transfer_power`.
+    The infimum of integral over A of (P^n 1_B - c 1_D) = 1_{B_n} - c 1_D is
+    attained on the strict negativity set: D minus B_n, where the integrand
+    is -c, and D inter B_n when c > 1, where it is 1 - c.  So the defect is
+    -(c mu(D minus B_n) + max(c - 1, 0) mu(D inter B_n)).
     """
     phi.space._require_same(b.space)
     phi.space._require_same(d.space)
     c = Fraction(c)
     if c <= 0:
         raise ValueError("c must be positive")
-    if d.measure == 0:
-        raise NullTraceError("trace set must have positive mass")
-    h = transfer_power(phi, indicator(phi.space, b), n) - indicator(phi.space, d).scale(c)
-    return -h.negative_part().integral()
+    inside, outside = _trace_masses(phi, b, d, n)
+    p, r = c.numerator, c.denominator
+    loss = p * outside + max(p - r, 0) * inside
+    return Fraction(-loss, r * phi.space.common_denominator)
 
 
 def lower_bound_witness(
@@ -218,21 +268,38 @@ def lower_bound_witness(
     return MeasurableSet(phi.space, d_bits), c
 
 
+def _image_masses(phi: MeasurePreservingMap, a: MeasurableSet) -> list[int]:
+    """Numerators of mu(phi^n(A)) for n = 0, 1, ... until they settle.
+
+    Positive atoms map onto positive atoms, so the positive part of an image
+    only moves by pi, keeping its mass, except for what null atoms of the
+    image send into it.  The walk stops once the image holds no null atom,
+    or after as many steps as there are null atoms, when every null atom
+    left lies on a null cycle and sends nothing.  Every later mass equals
+    the last one listed.  The masses never decrease (A sits inside the
+    preimage of its image).
+    """
+    space = phi.space
+    nulls = space.full_mask & ~space.positive_mask
+    cur = a.bits
+    masses = [space.mass_bits(cur)]
+    for _ in range(space.atom_count - len(space.positive_support)):
+        if not cur & nulls:
+            break
+        cur = phi.image_bits(cur)
+        masses.append(space.mass_bits(cur))
+        if masses[-1] < masses[-2]:
+            raise DiagnosticInconsistencyError("image measures decreased")
+    return masses
+
+
 def image_measure_limit(phi: MeasurePreservingMap, a: MeasurableSet) -> Fraction:
-    """lim mu(phi^n(A)): the forward image measures are nondecreasing
-    (A sits inside the preimage of its image) and eventually periodic,
-    hence eventually constant.
+    """lim mu(phi^n(A)): the forward image measures are nondecreasing and
+    constant once the image holds no null atom off a null cycle, which
+    takes at most as many steps as there are null atoms.
     """
     phi.space._require_same(a.space)
-    orbit = set_orbit(phi, a, direction="forward")
-    measures = [s.measure for s in orbit.orbit_sets]
-    for prev, cur in zip(measures, measures[1:]):
-        if cur < prev:
-            raise DiagnosticInconsistencyError("image measures decreased")
-    cycle = {orbit.orbit_sets[orbit.preperiod + j].measure for j in range(orbit.period)}
-    if len(cycle) != 1:
-        raise DiagnosticInconsistencyError("image measure cycle not constant")
-    return cycle.pop()
+    return Fraction(_image_masses(phi, a)[-1], phi.space.common_denominator)
 
 
 def image_mixing_defect(
@@ -242,13 +309,16 @@ def image_mixing_defect(
 
     With a = lim mu(phi^m(A)) the supremum is the larger of
     (1 - a) mu(phi^n(A)) and a (1 - mu(phi^n(A))), by the same
-    positive/negative part argument applied to 1_{phi^n(A)} - a.
+    positive/negative part argument applied to 1_{phi^n(A)} - a.  Both
+    masses come from one walk of at most the null-atom count steps.
     """
     phi.space._require_same(a.space)
-    limit = image_measure_limit(phi, a)
-    orbit = set_orbit(phi, a, direction="forward")
-    m_n = orbit.set_at(n).measure
-    return max((ONE - limit) * m_n, limit * (ONE - m_n))
+    masses = _image_masses(phi, a)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    q = phi.space.common_denominator
+    limit, m_n = masses[-1], masses[min(n, len(masses) - 1)]
+    return Fraction(max((q - limit) * m_n, limit * (q - m_n)), q * q)
 
 
 def limit_vanishes(phi: MeasurePreservingMap, f: Density) -> bool:

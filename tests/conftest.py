@@ -77,3 +77,30 @@ def subsets(draw, space):
 def generated_systems(count=40, seed=2024, **kwargs):
     gen = SystemGenerator(seed, **kwargs)
     return [gen.system(i) for i in range(count)]
+
+
+PRIME_CYCLES = (2, 3, 5, 7, 11, 13)
+
+
+def cycle_system(lengths, null_targets=()):
+    """Equal-mass atoms on cycles of the given lengths (atoms numbered
+    cycle by cycle), then one null atom per entry of `null_targets`, mapped
+    to that atom index."""
+    k = sum(lengths)
+    space = FiniteProbabilitySpace.from_masses(
+        [Fraction(1, k)] * k + [Fraction(0)] * len(null_targets)
+    )
+    targets, start = [], 0
+    for length in lengths:
+        targets += [start + (i + 1) % length for i in range(length)]
+        start += length
+    return space, MeasurePreservingMap(space, (*targets, *null_targets))
+
+
+def cycle_starts(lengths):
+    """Bitmask of the first atom of each cycle of `cycle_system(lengths)`."""
+    bits, start = 0, 0
+    for length in lengths:
+        bits |= 1 << start
+        start += length
+    return bits

@@ -13,10 +13,12 @@ from pfkit import (
     three_point_system,
     two_atom_swap,
 )
-from pfkit import cli, systemio
+from pfkit import cli, dynamics, systemio
 from pfkit.cli import main
 from pfkit.dyadic import MAX_LEVEL
 from pfkit.ulam import DENSE_MAX_BINS, MAX_BINS, ulam_assemble
+
+from conftest import PRIME_CYCLES, cycle_starts, cycle_system
 
 
 @pytest.fixture
@@ -354,6 +356,19 @@ def test_negative_orbit_steps_are_rejected(runner, system_file):
     assert result.exit_code == 2
     assert len(result.output.splitlines()) == 1
     assert json.loads(result.output)["error"]["type"] == "ParseError"
+
+
+def test_orbit_above_the_length_cap_is_an_input_error(runner, tmp_path, monkeypatch):
+    space, phi = cycle_system(PRIME_CYCLES)
+    path = tmp_path / "primes.json"
+    save_system(path, space, phi, {"B": space.set_from_bits(cycle_starts(PRIME_CYCLES))})
+    monkeypatch.setattr(dynamics, "MAX_ORBIT_LENGTH", 1000)
+    result = runner.invoke(main, ["orbit", str(path), "--set", "B", "--steps", "3"])
+    assert result.exit_code == 2
+    assert len(result.output.splitlines()) == 1
+    error = json.loads(result.output)["error"]
+    assert error["type"] == "OrbitTooLongError"
+    assert "1000" in error["message"]
 
 
 def _refuse(*args, **kwargs):

@@ -7,6 +7,7 @@ from pfkit import (
     FiniteProbabilitySpace,
     MeasurePreservingMap,
     NotMeasurePreservingError,
+    OrbitTooLongError,
     SigmaSubAlgebra,
     completions_equal,
     identity_system,
@@ -19,7 +20,9 @@ from pfkit import (
     tail_algebra,
 )
 
-from conftest import spaces, systems
+from pfkit import dynamics
+
+from conftest import PRIME_CYCLES, cycle_starts, cycle_system, spaces, systems
 
 HALF = Fraction(1, 2)
 
@@ -386,3 +389,35 @@ def test_identity_system_orbits():
     for bits in range(1 << 4):
         report = set_orbit(phi, space.set_from_bits(bits))
         assert report.converges and report.period == 1 and report.preperiod == 0
+
+
+@given(systems())
+def test_positive_cycles_partition_the_positive_atoms(system):
+    space, phi = system
+    covered = 0
+    for atoms, mask in phi.positive_cycles:
+        assert atoms[0] == min(atoms)
+        assert mask == space.set_from_indices(atoms).bits and not mask & covered
+        covered |= mask
+        for i, atom in enumerate(atoms):
+            assert phi.targets[atom] == atoms[(i + 1) % len(atoms)]
+    assert covered == space.positive_mask
+    firsts = [atoms[0] for atoms, _ in phi.positive_cycles]
+    assert firsts == sorted(firsts)
+
+
+def test_set_orbit_length_is_capped(monkeypatch):
+    # one atom per cycle of lengths 2..13: the orbit is lcm = 30,030 sets long
+    space, phi = cycle_system(PRIME_CYCLES)
+    monkeypatch.setattr(dynamics, "MAX_ORBIT_LENGTH", 1000)
+    with pytest.raises(OrbitTooLongError, match="within 1000 steps"):
+        set_orbit(phi, space.set_from_bits(cycle_starts(PRIME_CYCLES)))
+    with pytest.raises(OrbitTooLongError):
+        set_orbit(phi, space.set_from_bits(cycle_starts(PRIME_CYCLES)), "backward")
+    # the 13-cycle alone: an orbit of exactly the cap is allowed
+    last = space.set_from_indices([space.atom_count - 1])
+    monkeypatch.setattr(dynamics, "MAX_ORBIT_LENGTH", 13)
+    assert set_orbit(phi, last).period == 13
+    monkeypatch.setattr(dynamics, "MAX_ORBIT_LENGTH", 12)
+    with pytest.raises(OrbitTooLongError):
+        set_orbit(phi, last)

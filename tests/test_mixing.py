@@ -1,6 +1,9 @@
+import io
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from pfkit import (
@@ -8,7 +11,9 @@ from pfkit import (
     MeasurePreservingMap,
     MixingProfile,
     NullTraceError,
+    SystemGenerator,
     classify,
+    constant_density,
     identity_system,
     image_measure_limit,
     image_mixing_defect,
@@ -19,13 +24,19 @@ from pfkit import (
     limit_vanishes,
     lower_bound_defect,
     lower_bound_witness,
+    save_system,
+    set_orbit,
     single_atom_with_nulls,
     trace_mixing_defect,
+    transfer_power,
     two_atom_swap,
     uniform_mixing_defect,
 )
+from pfkit import dynamics, mixing, operators
+from pfkit.cli import main
+from pfkit.systemio import write_profile_csv
 
-from conftest import systems
+from conftest import PRIME_CYCLES, cycle_starts, cycle_system, systems
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -306,3 +317,184 @@ def test_classify_matches_the_cycle_type(case, data):
         assert profile.witness is None
     mu = b.measure
     assert profile.defects == (mu * (1 - mu),) * 3
+
+
+# The Density-route bodies of the four closed-form defects, kept as oracles:
+# P^n 1_B from `transfer_power`, suprema from positive and negative parts,
+# image measures from the literal `set_orbit`.  The forward orbit and its
+# limit are cached, since a profile asks for the same ones at every n and the
+# orbit of one atom per cycle of `PRIME_CYCLES` is 30,030 sets long.
+
+
+@lru_cache(maxsize=4)
+def _forward_orbit(phi, a):
+    return set_orbit(phi, a, direction="forward")
+
+
+def oracle_trace_mixing_defect(phi, b, d, n):
+    phi.space._require_same(b.space)
+    phi.space._require_same(d.space)
+    if d.measure == 0:
+        raise NullTraceError("trace set must have positive mass")
+    g = transfer_power(phi, indicator(phi.space, b), n) - constant_density(
+        phi.space, b.measure
+    )
+    return max(
+        g.positive_part().integral_over(d), g.negative_part().integral_over(d)
+    )
+
+
+def oracle_lower_bound_defect(phi, b, d, c, n):
+    phi.space._require_same(b.space)
+    phi.space._require_same(d.space)
+    c = Fraction(c)
+    if c <= 0:
+        raise ValueError("c must be positive")
+    if d.measure == 0:
+        raise NullTraceError("trace set must have positive mass")
+    h = transfer_power(phi, indicator(phi.space, b), n) - indicator(phi.space, d).scale(c)
+    return -h.negative_part().integral()
+
+
+@lru_cache(maxsize=4)
+def oracle_image_measure_limit(phi, a):
+    phi.space._require_same(a.space)
+    orbit = _forward_orbit(phi, a)
+    measures = [s.measure for s in orbit.orbit_sets]
+    for prev, cur in zip(measures, measures[1:]):
+        assert cur >= prev, "image measures decreased"
+    cycle = {orbit.orbit_sets[orbit.preperiod + j].measure for j in range(orbit.period)}
+    assert len(cycle) == 1, "image measure cycle not constant"
+    return cycle.pop()
+
+
+def oracle_image_mixing_defect(phi, a, n):
+    phi.space._require_same(a.space)
+    limit = oracle_image_measure_limit(phi, a)
+    orbit = _forward_orbit(phi, a)
+    m_n = orbit.set_at(n).measure
+    return max((1 - limit) * m_n, limit * (1 - m_n))
+
+
+LEVELS = [Fraction(1, 3), Fraction(2, 3), Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2)]
+
+
+@st.composite
+def systems_with_null_cycles(draw):
+    """`systems` with some null atoms rewired onto one cycle of their own;
+    the other null atoms keep their random targets, which may lead into it."""
+    space, phi = draw(systems(max_positive=6, max_null=5))
+    nulls = [a for a in range(space.atom_count) if space.masses[a] == 0]
+    loop = draw(st.lists(st.sampled_from(nulls), unique=True)) if nulls else []
+    targets = list(phi.targets)
+    for src, dst in zip(loop, loop[1:] + loop[:1]):
+        targets[src] = dst
+    return space, MeasurePreservingMap(space, tuple(targets))
+
+
+@settings(max_examples=150)
+@given(systems_with_null_cycles(), st.data())
+def test_closed_form_defects_match_the_density_oracles(system, data):
+    space, phi = system
+    bits = st.integers(0, space.full_mask)
+    b = space.set_from_bits(data.draw(bits))
+    d = space.set_from_bits(data.draw(bits.filter(lambda x: space.mass_bits(x) > 0)))
+    # past every cycle length and the null-atom count
+    for n in range(2 * space.atom_count + 2):
+        assert trace_mixing_defect(phi, b, d, n) == oracle_trace_mixing_defect(phi, b, d, n)
+        for c in LEVELS:
+            want = oracle_lower_bound_defect(phi, b, d, c, n)
+            assert lower_bound_defect(phi, b, d, c, n) == want
+        assert image_mixing_defect(phi, b, n) == oracle_image_mixing_defect(phi, b, n)
+    assert image_measure_limit(phi, b) == oracle_image_measure_limit(phi, b)
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_closed_form_errors_match_the_oracles(three_point):
+    space, phi = three_point
+    b, full, null = space.set_of(["1"]), space.full_set(), space.set_of(["2"])
+    cases = [
+        (lower_bound_defect, oracle_lower_bound_defect, (phi, b, full, Fraction(0), 1)),
+        (lower_bound_defect, oracle_lower_bound_defect, (phi, b, full, Fraction(-1, 2), 1)),
+        (lower_bound_defect, oracle_lower_bound_defect, (phi, b, null, Fraction(0), 1)),
+        (lower_bound_defect, oracle_lower_bound_defect, (phi, b, null, HALF, 1)),
+        (lower_bound_defect, oracle_lower_bound_defect, (phi, b, null, HALF, -1)),
+        (lower_bound_defect, oracle_lower_bound_defect, (phi, b, full, HALF, -1)),
+        (trace_mixing_defect, oracle_trace_mixing_defect, (phi, b, null, 1)),
+        (trace_mixing_defect, oracle_trace_mixing_defect, (phi, b, null, -1)),
+        (trace_mixing_defect, oracle_trace_mixing_defect, (phi, b, full, -1)),
+        (image_mixing_defect, oracle_image_mixing_defect, (phi, b, -1)),
+    ]
+    for closed, oracle, args in cases:
+        assert _raised(closed, *args) == _raised(oracle, *args)
+
+
+def test_closed_forms_use_neither_set_orbit_nor_transfer_power(monkeypatch):
+    cases = []
+    for i in range(30):
+        space, phi = SystemGenerator(5).system(i)
+        b = space.set_from_indices(range(0, space.atom_count, 2))
+        d = space.set_from_indices([space.positive_support[-1]])
+        for n in (0, 1, 7, 40):
+            want = (
+                oracle_lower_bound_defect(phi, b, d, Fraction(3, 2), n),
+                oracle_trace_mixing_defect(phi, b, d, n),
+                oracle_image_measure_limit(phi, b),
+                oracle_image_mixing_defect(phi, b, n),
+            )
+            cases.append((phi, b, d, n, want))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a closed-form defect walked an orbit or a power")
+
+    for module in (mixing, dynamics):
+        monkeypatch.setattr(module, "set_orbit", forbidden)
+    for module in (mixing, operators):
+        monkeypatch.setattr(module, "transfer_power", forbidden)
+    for phi, b, d, n, want in cases:
+        got = (
+            lower_bound_defect(phi, b, d, Fraction(3, 2), n),
+            trace_mixing_defect(phi, b, d, n),
+            image_measure_limit(phi, b),
+            image_mixing_defect(phi, b, n),
+        )
+        assert got == want
+
+
+def _single_cycle_with_null_tail():
+    # atoms 0..15 on one cycle; null atoms 16 -> 17 -> 18 -> 0 and 19 -> 19
+    return cycle_system([16], null_targets=(17, 18, 0, 19))
+
+
+@pytest.mark.parametrize(
+    "system, b_bits, d_bits",
+    [
+        (cycle_system(PRIME_CYCLES), cycle_starts(PRIME_CYCLES), sum(1 << i for i in range(0, 41, 3))),
+        (_single_cycle_with_null_tail(), 1 << 0 | 1 << 3 | 1 << 16, 0b1_0000_0001_1111_1110),
+    ],
+    ids=["prime-cycles", "single-cycle"],
+)
+def test_mixing_profile_csv_matches_the_oracle_route(tmp_path, system, b_bits, d_bits):
+    space, phi = system
+    b, d = space.set_from_bits(b_bits), space.set_from_bits(d_bits)
+    path = tmp_path / "system.json"
+    save_system(path, space, phi, {"B": b, "D": d})
+    oracles = {
+        "lower": lambda n: oracle_lower_bound_defect(phi, b, d, Fraction(3, 2), n),
+        "trace": lambda n: oracle_trace_mixing_defect(phi, b, d, n),
+        "image": lambda n: oracle_image_mixing_defect(phi, b, n),
+    }
+    out = tmp_path / "profile.csv"
+    for kind, oracle in oracles.items():
+        argv = ["mixing-profile", str(path), "--set", "B", "--kind", kind, "--n-max", "64"]
+        argv += ["--trace", "D", "--c", "3/2", "--out", str(out)]
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        want = io.StringIO(newline="")
+        write_profile_csv(want, [oracle(n) for n in range(65)])
+        assert out.read_bytes() == want.getvalue().encode()
