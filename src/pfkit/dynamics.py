@@ -3,7 +3,9 @@
 A map is a target list over the atoms.  Measure preservation on a finite
 space forces the positive atoms to be permuted among equal-mass partners,
 while null atoms may land anywhere; the constructor validates the mass
-balance atom by atom and caches the induced positive permutation.
+balance atom by atom.  The cycles of the induced positive permutation are
+cached on first use, and `positive_image_bits` reads phi^n on the positive
+atoms from them for any n.
 
 Sub-sigma-algebras of a finite power set are in bijection with partitions
 of the atoms, so the lattice operations here (invariant algebra, preimage
@@ -83,17 +85,6 @@ class MeasurePreservingMap:
         return tuple(fibers)
 
     @cached_property
-    def positive_permutation(self) -> tuple[int, ...]:
-        """The bijection induced on positive atoms, in positive indexing.
-
-        Entry k is the positive index of phi(positive atom k).  The mass
-        balance check already guarantees this is a permutation pairing
-        equal-mass atoms.
-        """
-        pos_index = self.space.positive_index
-        return tuple(pos_index[self.targets[a]] for a in self.space.positive_support)
-
-    @cached_property
     def positive_cycles(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """The cycles of phi on the positive atoms, by smallest atom.
 
@@ -132,6 +123,30 @@ class MeasurePreservingMap:
             low = bits & -bits
             out |= table[low.bit_length() - 1]
             bits ^= low
+        return out
+
+    def positive_image_bits(self, bits: int, n: int) -> int:
+        """phi^n(A inter positive support) for the set A given by `bits`.
+
+        Each positive atom of A moves n mod its cycle length along its cycle
+        of `positive_cycles`, so the cost is O(d) for any n.  Since P^n 1_A
+        is the indicator of this set, it is the production route to the
+        transfer powers.
+        """
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        out = 0
+        for atoms, mask in self.positive_cycles:
+            hit = bits & mask
+            if not hit:
+                continue
+            shift = n % len(atoms)
+            if hit == mask or shift == 0:
+                out |= hit
+                continue
+            for i, atom in enumerate(atoms):
+                if hit >> atom & 1:
+                    out |= 1 << atoms[i + shift - len(atoms)]  # wraps round
         return out
 
     def image(self, a: MeasurableSet) -> MeasurableSet:
@@ -437,14 +452,18 @@ def minimal_invariant_superset(
 def invariant_version(phi: MeasurePreservingMap, a: MeasurableSet) -> MeasurableSet:
     """The liminf of the preimage orbit: union over n of inter_{k>=n} phi^-k(A).
 
-    The backward orbit is eventually periodic, and the inner intersections
-    increase to the intersection of one full cycle, which is the returned
-    set.  It is always strictly invariant; whenever A is equivalent to its
+    An atom lies in it exactly when its forward orbit ends on a cycle of phi
+    inside A.  Two monotone loops find those atoms: shrinking S to
+    S inter phi^-1(S) from A leaves the atoms whose whole forward orbit stays
+    in A, and growing S by phi^-1(S) then adds every atom that reaches them.
+    Each loop ends within atom-count steps, however long the set orbit of A.
+    The result is always strictly invariant; whenever A is equivalent to its
     own preimage modulo null sets, it is also equivalent to A.
     """
     phi.space._require_same(a.space)
-    orbit = set_orbit(phi, a, direction="backward")
-    bits = phi.space.full_mask
-    for j in range(orbit.period):
-        bits &= orbit.orbit_sets[orbit.preperiod + j].bits
+    bits = a.bits
+    while (nxt := bits & phi.preimage_bits(bits)) != bits:
+        bits = nxt
+    while (nxt := bits | phi.preimage_bits(bits)) != bits:
+        bits = nxt
     return MeasurableSet(phi.space, bits)

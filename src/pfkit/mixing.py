@@ -20,9 +20,13 @@ defects are therefore a few set masses, summed as integer numerators over
 - trace: max(mu(B_n inter D)(1 - mu(B)), mu(B) mu(D minus B_n))
 - image: max((1 - a) mu(phi^n(A)), a (1 - mu(phi^n(A)))), a = lim mu(phi^m(A))
 
-B_n costs O(d) for any n: each atom of B moves n mod its cycle length
-along its cycle of `phi.positive_cycles`.  The uniform defect still takes
-the Density route through `transfer_power`.
+B_n comes from `phi.positive_image_bits` in O(d) for any n: each atom of
+B moves n mod its cycle length along its cycle of `phi.positive_cycles`.
+The uniform defect builds P^n 1_B = 1_{B_n} from the same B_n and keeps the
+Density arithmetic (difference, positive and negative parts, integrals).
+The dense matrix of `transfer_operator` feeds only the operator routes
+(the classifiers, `limit_vanishes` and the witness), which never read the
+cycles.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .operators import (
     power_sequence,
     rank_one_projection,
     transfer_operator,
-    transfer_power,
 )
 from .space import (
     ONE,
@@ -153,34 +156,13 @@ def uniform_mixing_defect(
     The integrand identity mu(phi^-n(A) inter B) = integral over A of
     P^n 1_B turns the supremum into max of the positive and negative part
     masses of g = P^n 1_B - mu(B); the extremal sets are {g > 0}, {g < 0}.
-    P^n 1_B comes from `transfer_power`.
+    P^n 1_B is the indicator of B_n from `phi.positive_image_bits`.
     """
-    phi.space._require_same(b.space)
-    g = transfer_power(phi, indicator(phi.space, b), n) - constant_density(
-        phi.space, b.measure
-    )
+    space = phi.space
+    space._require_same(b.space)
+    b_n = MeasurableSet(space, phi.positive_image_bits(b.bits, n))
+    g = indicator(space, b_n) - constant_density(space, b.measure)
     return max(g.positive_part().integral(), g.negative_part().integral())
-
-
-def _positive_image_bits(phi: MeasurePreservingMap, bits: int, n: int) -> int:
-    """phi^n(A inter positive support) for the set A given by `bits`.
-
-    Each positive atom of A moves n mod its cycle length along its cycle of
-    `phi.positive_cycles`, so the cost is O(d) for any n.
-    """
-    out = 0
-    for atoms, mask in phi.positive_cycles:
-        hit = bits & mask
-        if not hit:
-            continue
-        shift = n % len(atoms)
-        if hit == mask or shift == 0:
-            out |= hit
-            continue
-        for i, atom in enumerate(atoms):
-            if hit >> atom & 1:
-                out |= 1 << atoms[i + shift - len(atoms)]  # wraps round
-    return out
 
 
 def _trace_masses(
@@ -194,9 +176,7 @@ def _trace_masses(
     d_mass = space.mass_bits(d.bits)
     if d_mass == 0:
         raise NullTraceError("trace set must have positive mass")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    inside = space.mass_bits(d.bits & _positive_image_bits(phi, b.bits, n))
+    inside = space.mass_bits(d.bits & phi.positive_image_bits(b.bits, n))
     return inside, d_mass - inside
 
 

@@ -7,19 +7,19 @@ Power sequences are detected exactly: for permutation-structured matrices
 the period is the lcm of the cycle lengths, and anything else falls back to
 hashing within MAX_STEPS steps.
 
-Two routes compute transfer powers.  The production path is
-`transfer_power`: measure preservation makes P permute the positive atoms
-with unit weights, so P^n f = f o pi^-n is read off the cycles of the
-positive permutation pi without arithmetic.  The dense matrix of
-`transfer_operator`, assembled from the defining formula and iterated by
-`apply_power`, is the independent oracle; the classifiers and the audits
-keep using it so that the two routes check each other.
+This module is the dense oracle route to transfer powers: the matrix of
+`transfer_operator` is assembled from the defining formula and iterated by
+`apply_power`.  The production route lives on the map in `dynamics`:
+measure preservation makes P permute the positive atoms with unit weights,
+so P^n 1_A is the indicator of phi^n(A inter positive support), read off
+the cycles of the map without arithmetic.  The classifiers and the audits
+keep using the oracle, so that the two routes check each other.
 
 The oracle is generic exact linear algebra on sparse rows: a `MarkovMatrix`
 stores only the nonzero entries of each row, its dense `entries` are a view
 derived on demand, and every kernel, including the rank elimination behind
-`fixed_space_dimension`, touches only the stored rows.  It never reads the
-map's permutation or cycles, so it stays independent of the cycle route.
+`fixed_space_dimension`, touches only the stored rows.  Nothing here reads
+the cycles of the map, so the oracle stays independent of the cycle route.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class MarkovMatrix:
     equality and hashing are structural, and a dropped 0 * f[j] term leaves
     an exact sum unchanged.  `entries` is the dense view, built on demand;
     `from_entries` builds a matrix from dense rows.  Nothing here reads the
-    map or its cycles, so the matrix stays independent of `transfer_power`.
+    map or its cycles, so the matrix stays independent of the cycle route.
     """
 
     space: FiniteProbabilitySpace
@@ -312,32 +312,6 @@ def apply_power(m: MarkovMatrix, f: Density, n: int) -> Density:
     for _ in range(n):
         f = m.apply(f)
     return f
-
-
-def transfer_power(phi: MeasurePreservingMap, f: Density, n: int) -> Density:
-    """P^n f = f o pi^-n on the positive atoms, in O(d) for any n.
-
-    pi is `phi.positive_permutation`.  Each value of f travels n steps
-    forward along its cycle of pi; values are moved, never recomputed, so
-    the result equals `apply_power(transfer_operator(phi), f, n)` exactly.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    phi.space._require_same(f.space)
-    perm = phi.positive_permutation
-    out: list[Fraction | None] = [None] * len(perm)
-    for start in range(len(perm)):
-        if out[start] is not None:
-            continue  # its cycle is already placed
-        cycle = [start]
-        j = perm[start]
-        while j != start:
-            cycle.append(j)
-            j = perm[j]
-        shift = n % len(cycle)
-        for i, k in enumerate(cycle):
-            out[cycle[(i + shift) % len(cycle)]] = f.values[k]
-    return Density(f.space, tuple(out))
 
 
 def cesaro_limit(m: MarkovMatrix) -> MarkovMatrix:

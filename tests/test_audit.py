@@ -203,9 +203,7 @@ def test_worker_count_is_clamped(monkeypatch):
 def test_structural_audit_checks_transfer_powers(swap, monkeypatch):
     """A cycle-shift route that never moves anything is caught against the
     dense matrix iteration on the swap, where P 1_a = 1_b."""
-    import pfkit.audit as audit_module
-
-    monkeypatch.setattr(audit_module, "transfer_power", lambda phi, f, n: f)
+    monkeypatch.setattr(MeasurePreservingMap, "positive_image_bits", lambda self, bits, n: bits)
     rec = _Recorder()
     _audit_structural_one(0, swap, rec, SplitMix64(_mix64(0)))
     assert {f.check for f in rec.failures} == {"transfer-power"}

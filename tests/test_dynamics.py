@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pfkit import (
     FiniteProbabilitySpace,
+    MeasurableSet,
     MeasurePreservingMap,
     NotMeasurePreservingError,
     OrbitTooLongError,
@@ -373,6 +374,41 @@ def test_invariant_version_is_strictly_invariant(system, data):
     a = space.set_from_bits(data.draw(st.integers(0, space.full_mask)))
     v = invariant_version(phi, a)
     assert phi.preimage(v) == v
+
+
+def oracle_invariant_version(phi, a):
+    """The former body: intersect one full cycle of the backward set orbit."""
+    phi.space._require_same(a.space)
+    orbit = set_orbit(phi, a, direction="backward")
+    bits = phi.space.full_mask
+    for j in range(orbit.period):
+        bits &= orbit.orbit_sets[orbit.preperiod + j].bits
+    return MeasurableSet(phi.space, bits)
+
+
+@settings(max_examples=200)
+@given(systems(max_positive=8, max_null=6), st.data())
+def test_invariant_version_matches_the_backward_orbit_oracle(system, data):
+    space, phi = system
+    a = space.set_from_bits(data.draw(st.integers(0, space.full_mask)))
+    assert invariant_version(phi, a) == oracle_invariant_version(phi, a)
+
+
+def test_invariant_version_needs_no_set_orbit(monkeypatch):
+    # one atom per cycle of lengths 2..17: the backward orbit of the cycle
+    # starts is 510,510 sets long, above MAX_ORBIT_LENGTH
+    lengths = PRIME_CYCLES + (17,)
+    space, phi = cycle_system(lengths)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("invariant_version walked a set orbit")
+
+    monkeypatch.setattr(dynamics, "set_orbit", forbidden)
+    starts = cycle_starts(lengths)
+    assert invariant_version(phi, space.set_from_bits(starts)).bits == 0
+    # the last cycle held whole survives, the lone starts do not
+    last = sum(1 << i for i in range(41, 58))
+    assert invariant_version(phi, space.set_from_bits(starts | last)).bits == last
 
 
 def test_null_chain_fixture():

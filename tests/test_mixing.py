@@ -12,6 +12,7 @@ from pfkit import (
     MixingProfile,
     NullTraceError,
     SystemGenerator,
+    apply_power,
     classify,
     constant_density,
     identity_system,
@@ -28,7 +29,7 @@ from pfkit import (
     set_orbit,
     single_atom_with_nulls,
     trace_mixing_defect,
-    transfer_power,
+    transfer_operator,
     two_atom_swap,
     uniform_mixing_defect,
 )
@@ -319,11 +320,12 @@ def test_classify_matches_the_cycle_type(case, data):
     assert profile.defects == (mu * (1 - mu),) * 3
 
 
-# The Density-route bodies of the four closed-form defects, kept as oracles:
-# P^n 1_B from `transfer_power`, suprema from positive and negative parts,
-# image measures from the literal `set_orbit`.  The forward orbit and its
-# limit are cached, since a profile asks for the same ones at every n and the
-# orbit of one atom per cycle of `PRIME_CYCLES` is 30,030 sets long.
+# The Density-route bodies of the closed-form defects, kept as oracles:
+# P^n 1_B from the dense matrix iterated by `apply_power`, suprema from
+# positive and negative parts, image measures from the literal `set_orbit`.
+# The matrix, the forward orbit and its limit are cached, since a profile
+# asks for the same ones at every n and the orbit of one atom per cycle of
+# `PRIME_CYCLES` is 30,030 sets long.
 
 
 @lru_cache(maxsize=4)
@@ -331,14 +333,27 @@ def _forward_orbit(phi, a):
     return set_orbit(phi, a, direction="forward")
 
 
+@lru_cache(maxsize=4)
+def _transfer_operator(phi):
+    return transfer_operator(phi)
+
+
+def _dense_power(phi, b, n):
+    return apply_power(_transfer_operator(phi), indicator(phi.space, b), n)
+
+
+def oracle_uniform_mixing_defect(phi, b, n):
+    phi.space._require_same(b.space)
+    g = _dense_power(phi, b, n) - constant_density(phi.space, b.measure)
+    return max(g.positive_part().integral(), g.negative_part().integral())
+
+
 def oracle_trace_mixing_defect(phi, b, d, n):
     phi.space._require_same(b.space)
     phi.space._require_same(d.space)
     if d.measure == 0:
         raise NullTraceError("trace set must have positive mass")
-    g = transfer_power(phi, indicator(phi.space, b), n) - constant_density(
-        phi.space, b.measure
-    )
+    g = _dense_power(phi, b, n) - constant_density(phi.space, b.measure)
     return max(
         g.positive_part().integral_over(d), g.negative_part().integral_over(d)
     )
@@ -352,7 +367,7 @@ def oracle_lower_bound_defect(phi, b, d, c, n):
         raise ValueError("c must be positive")
     if d.measure == 0:
         raise NullTraceError("trace set must have positive mass")
-    h = transfer_power(phi, indicator(phi.space, b), n) - indicator(phi.space, d).scale(c)
+    h = _dense_power(phi, b, n) - indicator(phi.space, d).scale(c)
     return -h.negative_part().integral()
 
 
@@ -401,6 +416,7 @@ def test_closed_form_defects_match_the_density_oracles(system, data):
     d = space.set_from_bits(data.draw(bits.filter(lambda x: space.mass_bits(x) > 0)))
     # past every cycle length and the null-atom count
     for n in range(2 * space.atom_count + 2):
+        assert uniform_mixing_defect(phi, b, n) == oracle_uniform_mixing_defect(phi, b, n)
         assert trace_mixing_defect(phi, b, d, n) == oracle_trace_mixing_defect(phi, b, d, n)
         for c in LEVELS:
             want = oracle_lower_bound_defect(phi, b, d, c, n)
@@ -429,6 +445,7 @@ def test_closed_form_errors_match_the_oracles(three_point):
         (trace_mixing_defect, oracle_trace_mixing_defect, (phi, b, null, -1)),
         (trace_mixing_defect, oracle_trace_mixing_defect, (phi, b, full, -1)),
         (image_mixing_defect, oracle_image_mixing_defect, (phi, b, -1)),
+        (uniform_mixing_defect, oracle_uniform_mixing_defect, (phi, b, -1)),
     ]
     for closed, oracle, args in cases:
         assert _raised(closed, *args) == _raised(oracle, *args)
@@ -442,6 +459,7 @@ def test_closed_forms_use_neither_set_orbit_nor_transfer_power(monkeypatch):
         d = space.set_from_indices([space.positive_support[-1]])
         for n in (0, 1, 7, 40):
             want = (
+                oracle_uniform_mixing_defect(phi, b, n),
                 oracle_lower_bound_defect(phi, b, d, Fraction(3, 2), n),
                 oracle_trace_mixing_defect(phi, b, d, n),
                 oracle_image_measure_limit(phi, b),
@@ -454,10 +472,11 @@ def test_closed_forms_use_neither_set_orbit_nor_transfer_power(monkeypatch):
 
     for module in (mixing, dynamics):
         monkeypatch.setattr(module, "set_orbit", forbidden)
-    for module in (mixing, operators):
-        monkeypatch.setattr(module, "transfer_power", forbidden)
+    monkeypatch.setattr(operators, "apply_power", forbidden)
+    monkeypatch.setattr(mixing, "transfer_operator", forbidden)
     for phi, b, d, n, want in cases:
         got = (
+            uniform_mixing_defect(phi, b, n),
             lower_bound_defect(phi, b, d, Fraction(3, 2), n),
             trace_mixing_defect(phi, b, d, n),
             image_measure_limit(phi, b),
@@ -485,6 +504,7 @@ def test_mixing_profile_csv_matches_the_oracle_route(tmp_path, system, b_bits, d
     path = tmp_path / "system.json"
     save_system(path, space, phi, {"B": b, "D": d})
     oracles = {
+        "uniform": lambda n: oracle_uniform_mixing_defect(phi, b, n),
         "lower": lambda n: oracle_lower_bound_defect(phi, b, d, Fraction(3, 2), n),
         "trace": lambda n: oracle_trace_mixing_defect(phi, b, d, n),
         "image": lambda n: oracle_image_mixing_defect(phi, b, n),

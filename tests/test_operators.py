@@ -4,7 +4,6 @@ from math import lcm
 import pytest
 from hypothesis import given, strategies as st
 
-from pfkit import operators
 from pfkit import (
     Density,
     MarkovMatrix,
@@ -24,7 +23,6 @@ from pfkit import (
     power_sequence,
     rank_one_projection,
     transfer_operator,
-    transfer_power,
     two_atom_swap,
 )
 
@@ -96,7 +94,7 @@ def test_matrix_composition(swap):
     assert p @ p == identity_matrix(space)
     a, b = (indicator(space, space.set_of([x])) for x in "ab")
     assert apply_power(p, a, 3) == b
-    assert transfer_power(phi, a, 3) == b
+    assert phi.positive_image_bits(space.set_of(["a"]).bits, 3) == space.set_of(["b"]).bits
 
 
 def test_power_sequence_identity(three_point):
@@ -170,16 +168,6 @@ def test_permutation_structure_needs_unit_entries(swap):
     assert structure(((one, zero), (one, zero))) is None
 
 
-def _cycle_lengths(perm):
-    lengths = []
-    for start in range(len(perm)):
-        j, length = perm[start], 1
-        while j != start:
-            j, length = perm[j], length + 1
-        lengths.append(length)
-    return lengths
-
-
 @given(
     st.integers(0, 2**32),
     st.integers(0, 500),
@@ -187,17 +175,17 @@ def _cycle_lengths(perm):
     st.integers(0, 20),
     st.data(),
 )
-def test_transfer_power_matches_the_dense_oracle(seed, index, max_atoms, n, data):
+def test_positive_image_bits_matches_the_dense_oracle(seed, index, max_atoms, n, data):
     space, phi = SystemGenerator(seed, max_positive_atoms=max_atoms).system(index)
-    d = len(space.positive_support)
-    values = data.draw(st.lists(st.fractions(), min_size=d, max_size=d))
-    f = Density(space, tuple(values))
-    got = transfer_power(phi, f, n)
-    assert got == apply_power(transfer_operator(phi), f, n)
-    period = lcm(*_cycle_lengths(phi.positive_permutation))
-    assert transfer_power(phi, f, n + period) == got
-    with pytest.raises(ValueError):
-        transfer_power(phi, f, -1 - n)
+    a = space.set_from_bits(data.draw(st.integers(0, space.full_mask)))
+    got = phi.positive_image_bits(a.bits, n)
+    want = apply_power(transfer_operator(phi), indicator(space, a), n)
+    assert indicator(space, space.set_from_bits(got)) == want
+    assert not got & ~space.positive_mask
+    period = lcm(*(len(atoms) for atoms, _ in phi.positive_cycles))
+    assert phi.positive_image_bits(a.bits, n + period) == got
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        phi.positive_image_bits(a.bits, -1 - n)
 
 
 def test_density_power_sequence(swap):
@@ -390,8 +378,8 @@ def test_oracle_route_never_reads_the_cycles(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the oracle route read the cycle route")
 
-    monkeypatch.setattr(MeasurePreservingMap, "positive_permutation", property(forbidden))
-    monkeypatch.setattr(operators, "transfer_power", forbidden)
+    monkeypatch.setattr(MeasurePreservingMap, "positive_cycles", property(forbidden))
+    monkeypatch.setattr(MeasurePreservingMap, "positive_image_bits", forbidden)
     for space, phi in generated:
         p = transfer_operator(phi)
         t = koopman_operator(phi)
