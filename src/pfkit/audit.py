@@ -146,30 +146,33 @@ class SystemGenerator:
         rng.shuffle(cuts)
         chosen = sorted(cuts[: n_pos - 1])
         bounds = [0] + chosen + [q]
-        parts = [bounds[i + 1] - bounds[i] for i in range(n_pos)]
+        # mass numerators over q; the space is built from them once at the end
+        nums = [bounds[i + 1] - bounds[i] for i in range(n_pos)] + [0] * n_null
+        rng.shuffle(nums)
 
-        masses = [Fraction(p, q) for p in parts] + [Fraction(0)] * n_null
-        rng.shuffle(masses)
-        space = FiniteProbabilitySpace.from_masses(
-            masses, tuple(f"a{i}" for i in range(len(masses)))
-        )
-
-        targets = [0] * space.atom_count
-        by_mass: dict[Fraction, list[int]] = {}
-        positives = list(space.positive_support)
-        for a in positives:
-            by_mass.setdefault(space.masses[a], []).append(a)
+        targets = [0] * len(nums)
+        by_mass: dict[int, list[int]] = {}
+        positives: list[int] = []
+        nulls: list[int] = []
+        for a, p in enumerate(nums):
+            if p:
+                by_mass.setdefault(p, []).append(a)
+                positives.append(a)
+            else:
+                nulls.append(a)
         for members in by_mass.values():
             shuffled = list(members)
             rng.shuffle(shuffled)
             for src, dst in zip(members, shuffled):
                 targets[src] = dst
-        nulls = [a for a in range(space.atom_count) if space.masses[a] == 0]
         for a in nulls:
-            if nulls and rng.randrange(2):
+            if rng.randrange(2):
                 targets[a] = rng.choice(nulls)
             else:
                 targets[a] = rng.choice(positives)
+        space = FiniteProbabilitySpace(
+            tuple(f"a{i}" for i in range(len(nums))), tuple(Fraction(p, q) for p in nums)
+        )
         return space, MeasurePreservingMap(space, tuple(targets))
 
 
@@ -361,8 +364,32 @@ class _Recorder:
         self.failures.append(AuditFailure(index, check, detail))
 
 
+# Below this many draws the scalar loop beats numpy's per-call overhead.
+_VECTOR_DRAWS = 16
+
+
 def _sample_subsets(rng: SplitMix64, full: int, count: int) -> list[int]:
-    return [rng.next_u64() & full for _ in range(count)]
+    """`count` draws of `rng.next_u64() & full`, advancing `rng` to match.
+
+    From `_VECTOR_DRAWS` draws on, the words come from one uint64 numpy
+    pass: state i is start + i * gamma and each word is `_mix64` of its
+    state, with the array arithmetic wrapping modulo 2^64 as the scalar
+    code masks it.
+    """
+    if count < _VECTOR_DRAWS:
+        return [rng.next_u64() & full for _ in range(count)]
+    start = rng.state
+    rng.state = (start + count * _GAMMA) & MASK64
+    x = np.arange(1, count + 1, dtype=np.uint64)
+    x *= np.uint64(_GAMMA)
+    x += np.uint64(start)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    x &= np.uint64(full & MASK64)
+    return x.tolist()
 
 
 # --------------------------------------------------------------------------
@@ -471,7 +498,8 @@ def _audit_convergence_one(index: int, system: System, rec: _Recorder, rng: Spli
 def _audit_lower_bound_one(index: int, system: System, rec: _Recorder, rng: SplitMix64) -> None:
     space, phi = system
     bs = _BitSystem(space, phi)
-    conv = power_sequence(transfer_operator(phi)).converges
+    p_matrix = transfer_operator(phi)
+    conv = power_sequence(p_matrix).converges
 
     # A trace pair (D, c) bounds the correlation sequence from below exactly
     # when the pointwise cycle minimum of P^n 1_B is positive somewhere,
@@ -489,7 +517,7 @@ def _audit_lower_bound_one(index: int, system: System, rec: _Recorder, rng: Spli
     probes += [b for b in _sample_subsets(rng, bs.full, 4) if space.mass_bits(b) > 0]
     for b_bits in probes:
         b_set = space.set_from_bits(b_bits)
-        witness = lower_bound_witness(phi, b_set)
+        witness = lower_bound_witness(p_matrix, b_set)
         if conv:
             if witness is None:
                 rec.fail(index, "witness-missing", f"B={b_bits:#x}")
@@ -650,16 +678,22 @@ def _audit_image_one(index: int, system: System, rec: _Recorder, rng: SplitMix64
     bs = _BitSystem(space, phi)
     exact = is_exact(phi)
 
-    # forward image measures never decrease: A sits in the preimage of its image
+    # forward image measures never decrease: A sits in the preimage of its
+    # image.  Once the image repeats, every later step repeats a checked
+    # one, so the walk stops after the step that closes the cycle.
     for a_bits in _sample_subsets(rng, bs.full, 8) + [1 << a for a in range(bs.k)]:
         prev = space.mass_bits(a_bits)
         cur = a_bits
+        seen = {cur}
         for _ in range(bs.joint_pre + bs.joint_period + 1):
             cur = phi.image_bits(cur)
             m_cur = space.mass_bits(cur)
             if m_cur < prev:
                 rec.fail(index, "image-monotone", f"A={a_bits:#x}")
                 break
+            if cur in seen:
+                break
+            seen.add(cur)
             prev = m_cur
 
     # defect limit vanishes for every atom orbit iff the system is exact

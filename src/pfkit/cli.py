@@ -20,7 +20,13 @@ from . import dyadic as dy
 from . import ulam as ul
 from .audit import AUDIT_NAMES, run_audit
 from .dynamics import set_orbit
-from .errors import DiagnosticInconsistencyError, ParseError, PeriodDetectionError, PfkitError
+from .errors import (
+    DiagnosticInconsistencyError,
+    OrbitTooLongError,
+    ParseError,
+    PeriodDetectionError,
+    PfkitError,
+)
 from .mixing import classify, image_mixing_defect, lower_bound_defect, trace_mixing_defect, uniform_mixing_defect
 from .operators import power_sequence, transfer_operator
 from .space import class_distance
@@ -162,15 +168,27 @@ def orbit_cmd(system_file: str, set_spec: str, direction: str, steps: int | None
     _check_range("--steps", steps, 0, MAX_ORBIT_STEPS)
     space, phi, named = load_system(system_file)
     start = _resolve_set(space, named, set_spec)
-    report = set_orbit(phi, start, direction=direction)
-    total = steps if steps is not None else report.preperiod + report.period
-    rows = []
-    for n in range(total + 1):
-        s = report.set_at(n)
-        dist = None
-        if report.limit_class is not None:
-            dist = class_distance(s.algebra_class(), report.limit_class)
-        rows.append((n, sorted(s.labels()), s.measure, dist))
+    try:
+        report = set_orbit(phi, start, direction=direction)
+    except OrbitTooLongError:
+        if steps is None:
+            raise
+        # no cycle to extend or limit to measure against: walk the N steps
+        step = phi.image_bits if direction == "forward" else phi.preimage_bits
+        rows, bits = [], start.bits
+        for n in range(steps + 1):
+            s = space.set_from_bits(bits)
+            rows.append((n, sorted(s.labels()), s.measure, None))
+            bits = step(bits)
+    else:
+        total = steps if steps is not None else report.preperiod + report.period
+        rows = []
+        for n in range(total + 1):
+            s = report.set_at(n)
+            dist = None
+            if report.limit_class is not None:
+                dist = class_distance(s.algebra_class(), report.limit_class)
+            rows.append((n, sorted(s.labels()), s.measure, dist))
     with _output(out) as handle:
         write_orbit_csv(handle, rows)
 

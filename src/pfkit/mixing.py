@@ -26,7 +26,10 @@ The uniform defect builds P^n 1_B = 1_{B_n} from the same B_n and keeps the
 Density arithmetic (difference, positive and negative parts, integrals).
 The dense matrix of `transfer_operator` feeds only the operator routes
 (the classifiers, `limit_vanishes` and the witness), which never read the
-cycles.
+cycles.  `lower_bound_witness(p, b)` takes that matrix rather than the map,
+so `classify` and the prop21 audit build it once per system and pass it to
+every witness call; `power_sequence` keeps its report on the matrix, so
+the powers of one matrix are classified once.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .dynamics import (
 )
 from .errors import DiagnosticInconsistencyError, NullTraceError
 from .operators import (
+    MarkovMatrix,
     conditional_expectation,
     density_power_sequence,
     fixed_space_dimension,
@@ -223,29 +227,33 @@ def lower_bound_defect(
 
 
 def lower_bound_witness(
-    phi: MeasurePreservingMap, b: MeasurableSet
+    p: MarkovMatrix, b: MeasurableSet
 ) -> tuple[MeasurableSet, Fraction] | None:
     """A trace set and constant making the lower-bound defect stabilize at 0.
 
-    Exists exactly when the transfer powers converge: then f = lim P^n 1_B
-    is nonnegative with integral mu(B) > 0, c is its smallest positive
-    value, and D = {f >= c} = {f > 0}.  Divergent powers return None.
+    `p` is the transfer matrix of the map, `transfer_operator(phi)`; the
+    witness reads only the dense operator route, so a caller that holds the
+    matrix passes it instead of rebuilding it per target set.  A witness
+    exists exactly when the transfer powers converge: then
+    f = lim P^n 1_B is nonnegative with integral mu(B) > 0, c is its
+    smallest positive value, and D = {f >= c} = {f > 0}.  Divergent powers
+    return None.
     """
-    phi.space._require_same(b.space)
+    space = p.space
+    space._require_same(b.space)
     if b.measure == 0:
         raise ValueError("witness requires a set of positive mass")
-    p = transfer_operator(phi)
     if not power_sequence(p).converges:
         return None
-    report = density_power_sequence(p, indicator(phi.space, b))
+    report = density_power_sequence(p, indicator(space, b))
     f = report.limit
     assert isinstance(f, Density) and report.converges
     c = f.min_positive()
     d_bits = 0
-    for k, atom in enumerate(phi.space.positive_support):
+    for k, atom in enumerate(space.positive_support):
         if f.values[k] >= c:
             d_bits |= 1 << atom
-    return MeasurableSet(phi.space, d_bits), c
+    return MeasurableSet(space, d_bits), c
 
 
 def _image_masses(phi: MeasurePreservingMap, a: MeasurableSet) -> list[int]:
@@ -365,7 +373,7 @@ def classify(
     )
     witness = None
     if profile_set.measure > 0:
-        witness = lower_bound_witness(phi, profile_set)
+        witness = lower_bound_witness(p, profile_set)
     return MixingProfile(
         ergodic=is_ergodic(phi),
         mixing=is_mixing(phi),

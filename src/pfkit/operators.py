@@ -166,6 +166,11 @@ class MarkovMatrix:
         )
 
     @cached_property
+    def _powers(self) -> "LimitReport":
+        """The report of `power_sequence`, computed on first use."""
+        return _power_sequence(self)
+
+    @cached_property
     def is_identity(self) -> bool:
         return all(row == ((i, ONE),) for i, row in enumerate(self.rows))
 
@@ -258,8 +263,14 @@ def power_sequence(m: MarkovMatrix) -> LimitReport:
 
     Permutation-structured matrices get the analytic answer: powers repeat
     with period lcm(cycle lengths) and no preperiod.  Other matrices are
-    hashed step by step for at most MAX_STEPS steps.
+    hashed step by step for at most MAX_STEPS steps.  A matrix is immutable,
+    so the report is computed once and kept on it; later calls return the
+    same object.
     """
+    return m._powers
+
+
+def _power_sequence(m: MarkovMatrix) -> LimitReport:
     perm = m.permutation_structure()
     if perm is not None:
         period = _permutation_order(perm)

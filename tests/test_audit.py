@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -16,7 +17,9 @@ from pfkit import (
     three_point_system,
 )
 from pfkit.audit import (
+    MASK64,
     _BitSystem,
+    _audit_image_one,
     _audit_lower_bound_one,
     _audit_structural_one,
     _audit_uniform_one,
@@ -24,6 +27,7 @@ from pfkit.audit import (
     _or_table,
     _Recorder,
     _mix64,
+    _sample_subsets,
     _worker_count,
 )
 
@@ -56,6 +60,18 @@ def test_shuffle_is_a_permutation():
     assert items != list(range(20))
 
 
+@pytest.mark.parametrize("count", [0, 1, 4, 256, 257])
+@pytest.mark.parametrize("width", [1, 12, 20, 64, 70])
+def test_sample_subsets_match_the_scalar_stream(count, width):
+    full = (1 << width) - 1
+    for seed in (0, 20260814, MASK64):
+        fast, slow = SplitMix64(seed), SplitMix64(seed)
+        words = _sample_subsets(fast, full, count)
+        assert words == [slow.next_u64() & full for _ in range(count)]
+        assert all(type(w) is int for w in words)
+        assert fast.state == slow.state
+
+
 def test_index_zero_is_the_reserved_fixture():
     gen = SystemGenerator(seed=314)
     space, phi = gen.system(0)
@@ -81,6 +97,43 @@ def test_generator_is_deterministic_per_seed_and_index():
     assert a == b
     c = SystemGenerator(seed=8).system(13)
     assert c != a
+
+
+def _stream_digest(gen: SystemGenerator, count: int = 1000) -> str:
+    h = hashlib.sha256()
+    for i in range(count):
+        space, phi = gen.system(i)
+        for m in space.masses:
+            h.update(f"{m.numerator}/{m.denominator},".encode())
+        h.update(("|" + ",".join(map(str, phi.targets)) + ";").encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "gen, digest",
+    [
+        (
+            SystemGenerator(20260814),
+            "300df42f977e1fcce67233430b6e9a1205370b9877aae155cd487af77b021659",
+        ),
+        (
+            SystemGenerator(7),
+            "dbae5a1786c6c1a343f8bed23c203321d5d0e5422b01a9bce667343c7225ee8b",
+        ),
+        (
+            SystemGenerator(
+                20260814, max_positive_atoms=16, max_null_atoms=4, mass_denominator_bound=48
+            ),
+            "2fc8d33d5713b9b983751618236db57c8903dc68d5c5610f11ba37c909ada809",
+        ),
+    ],
+    ids=["default", "seed-7", "sampled"],
+)
+def test_generator_stream_is_pinned(gen, digest):
+    # An audit report lists only failures, so a changed population would
+    # leave every canonical_json() unchanged; the masses and targets of
+    # systems 0..999 pin the stream itself.
+    assert _stream_digest(gen) == digest
 
 
 def test_generator_parameter_validation():
@@ -220,6 +273,22 @@ def test_audit_actually_detects_route_disagreement(three_point, monkeypatch):
     _audit_uniform_one(0, three_point, rec, rng)
     assert rec.failures
     assert rec.failures[0].check in ("defect-routes", "trace-exact")
+
+
+def test_image_walk_checks_the_step_that_closes_a_cycle(swap, monkeypatch):
+    """A fault that loses mass only on the step back into a seen set: {a}
+    maps to {a, b} and {a, b} back to {a}."""
+    space, phi = swap
+    a, ab = space.set_of(["a"]).bits, space.full_mask
+    real = MeasurePreservingMap.image_bits
+
+    def faulty(self, bits):
+        return {a: ab, ab: a}.get(bits, real(self, bits))
+
+    monkeypatch.setattr(MeasurePreservingMap, "image_bits", faulty)
+    rec = _Recorder()
+    _audit_image_one(0, swap, rec, SplitMix64(_mix64(0)))
+    assert f"A={a:#x}" in {f.detail for f in rec.failures if f.check == "image-monotone"}
 
 
 def test_witness_route_sees_a_cycle_among_fixed_points():

@@ -1,4 +1,6 @@
+import csv
 import gc
+import io
 import json
 from pathlib import Path
 
@@ -363,12 +365,22 @@ def test_orbit_above_the_length_cap_is_an_input_error(runner, tmp_path, monkeypa
     path = tmp_path / "primes.json"
     save_system(path, space, phi, {"B": space.set_from_bits(cycle_starts(PRIME_CYCLES))})
     monkeypatch.setattr(dynamics, "MAX_ORBIT_LENGTH", 1000)
-    result = runner.invoke(main, ["orbit", str(path), "--set", "B", "--steps", "3"])
+    result = runner.invoke(main, ["orbit", str(path), "--set", "B"])
     assert result.exit_code == 2
     assert len(result.output.splitlines()) == 1
     error = json.loads(result.output)["error"]
     assert error["type"] == "OrbitTooLongError"
     assert "1000" in error["message"]
+    # with --steps the rows come from a plain walk, without a limit distance
+    result = runner.invoke(main, ["orbit", str(path), "--set", "B", "--steps", "3"])
+    assert result.exit_code == 0, result.output
+    rows = list(csv.DictReader(io.StringIO(result.output)))
+    assert [int(r["n"]) for r in rows] == [0, 1, 2, 3]
+    assert all(r["d_to_limit"] == "" for r in rows)
+    bits = cycle_starts(PRIME_CYCLES)
+    for r in rows:
+        assert r["set"] == "|".join(sorted(space.set_from_bits(bits).labels()))
+        bits = phi.image_bits(bits)
 
 
 def _refuse(*args, **kwargs):

@@ -139,7 +139,7 @@ def test_lower_bound_defect_validation(three_point):
 def test_witness_on_convergent_system(three_point):
     space, phi = three_point
     b = space.set_of(["1", "2"])
-    witness = lower_bound_witness(phi, b)
+    witness = lower_bound_witness(transfer_operator(phi), b)
     assert witness is not None
     d, c = witness
     assert sorted(d.labels()) == ["1"]
@@ -150,13 +150,13 @@ def test_witness_on_convergent_system(three_point):
 
 def test_witness_absent_when_powers_diverge(swap):
     space, phi = swap
-    assert lower_bound_witness(phi, space.set_of(["a"])) is None
+    assert lower_bound_witness(transfer_operator(phi), space.set_of(["a"])) is None
 
 
 def test_witness_requires_positive_target(three_point):
     space, phi = three_point
     with pytest.raises(ValueError):
-        lower_bound_witness(phi, space.set_of(["2"]))
+        lower_bound_witness(transfer_operator(phi), space.set_of(["2"]))
 
 
 @given(systems(), st.data())

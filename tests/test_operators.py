@@ -20,6 +20,7 @@ from pfkit import (
     indicator,
     invariant_algebra,
     koopman_operator,
+    lower_bound_witness,
     power_sequence,
     rank_one_projection,
     transfer_operator,
@@ -103,6 +104,16 @@ def test_power_sequence_identity(three_point):
     assert report.converges
     assert report.preperiod == 0 and report.period == 1
     assert report.limit.is_identity
+
+
+def test_power_sequence_is_kept_on_the_matrix(swap):
+    _, phi = swap
+    p = transfer_operator(phi)
+    assert power_sequence(p) is power_sequence(p)
+    # an equal but distinct matrix gets its own, equal report
+    assert power_sequence(transfer_operator(phi)) == power_sequence(p)
+    proj = rank_one_projection(phi.space)
+    assert power_sequence(proj) is power_sequence(proj)
 
 
 def test_power_sequence_swap_diverges(swap):
@@ -384,9 +395,11 @@ def test_oracle_route_never_reads_the_cycles(monkeypatch):
         p = transfer_operator(phi)
         t = koopman_operator(phi)
         assert p.is_bimarkov() and p.adjoint() == t and (p @ t).is_identity
-        f = indicator(space, space.set_from_indices([space.positive_support[0]]))
+        b = space.set_from_indices([space.positive_support[0]])
+        f = indicator(space, b)
         assert density_power_sequence(p, f).period <= power_sequence(p).period
         assert fixed_space_dimension(p) == _dense_fixed_space_dimension(p)
+        assert (lower_bound_witness(p, b) is not None) == power_sequence(p).converges
 
 
 def test_fixed_space_dimension(three_point, swap):
