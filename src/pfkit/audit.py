@@ -374,7 +374,9 @@ def _sample_subsets(rng: SplitMix64, full: int, count: int) -> list[int]:
     From `_VECTOR_DRAWS` draws on, the words come from one uint64 numpy
     pass: state i is start + i * gamma and each word is `_mix64` of its
     state, with the array arithmetic wrapping modulo 2^64 as the scalar
-    code masks it.
+    code masks it.  That pass exists for the `SAMPLED_SUBSETS` draws of
+    the convergence audit on systems above `EXHAUSTIVE_ATOM_LIMIT` atoms; the
+    other callers draw 4 or 8 words and stay on the scalar loop.
     """
     if count < _VECTOR_DRAWS:
         return [rng.next_u64() & full for _ in range(count)]

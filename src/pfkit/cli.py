@@ -173,22 +173,16 @@ def orbit_cmd(system_file: str, set_spec: str, direction: str, steps: int | None
     except OrbitTooLongError:
         if steps is None:
             raise
-        # no cycle to extend or limit to measure against: walk the N steps
-        step = phi.image_bits if direction == "forward" else phi.preimage_bits
-        rows, bits = [], start.bits
-        for n in range(steps + 1):
-            s = space.set_from_bits(bits)
-            rows.append((n, sorted(s.labels()), s.measure, None))
-            bits = step(bits)
-    else:
-        total = steps if steps is not None else report.preperiod + report.period
-        rows = []
-        for n in range(total + 1):
-            s = report.set_at(n)
-            dist = None
-            if report.limit_class is not None:
-                dist = class_distance(s.algebra_class(), report.limit_class)
-            rows.append((n, sorted(s.labels()), s.measure, dist))
+        report = None  # no cycle found, so no limit to measure against
+    total = steps if steps is not None else report.preperiod + report.period
+    limit = report.limit_class if report is not None else None
+    step = phi.image_bits if direction == "forward" else phi.preimage_bits
+    rows, bits = [], start.bits
+    for n in range(total + 1):
+        s = space.set_from_bits(bits)
+        dist = None if limit is None else class_distance(s.algebra_class(), limit)
+        rows.append((n, sorted(s.labels()), s.measure, dist))
+        bits = step(bits)
     with _output(out) as handle:
         write_orbit_csv(handle, rows)
 
