@@ -176,22 +176,6 @@ class SystemGenerator:
         return space, MeasurePreservingMap(space, tuple(targets))
 
 
-def positive_permutation_form(space: FiniteProbabilitySpace, targets: Sequence[int]) -> bool:
-    """Whether a target list permutes positive atoms within mass classes.
-
-    This is the shape the generator emits; the exhaustive small-space test
-    confirms it is exactly the shape measure preservation allows.
-    """
-    pos = set(space.positive_support)
-    seen = set()
-    for a in pos:
-        t = targets[a]
-        if t not in pos or space.masses[t] != space.masses[a] or t in seen:
-            return False
-        seen.add(t)
-    return True
-
-
 # --------------------------------------------------------------------------
 # bitmask fast paths
 
@@ -206,18 +190,15 @@ def _or_table(per_atom: Sequence[int]) -> list[int]:
     return table
 
 
-def _mass_table(masses: Sequence[int]) -> np.ndarray:
-    """table[A] = integer mass of the bitmask A, over the common denominator."""
-    table = np.zeros(1, dtype=np.int64)
-    for m in masses:
-        table = np.concatenate([table, table + m])
-    return table
+def _mass_table(per_atom: Sequence[int]) -> np.ndarray:
+    """table[A] = sum of per_atom[a] over the atoms of the bitmask A.
 
-
-def _bits_table(per_atom: Sequence[int]) -> np.ndarray:
+    With integer masses over the common denominator this is the mass of A;
+    with pairwise disjoint bitmasks, such as preimage fibers, it is their OR.
+    """
     table = np.zeros(1, dtype=np.int64)
     for v in per_atom:
-        table = np.concatenate([table, table | v])
+        table = np.concatenate([table, table + v])
     return table
 
 
@@ -546,7 +527,7 @@ def _audit_lower_bound_one(index: int, system: System, rec: _Recorder, rng: Spli
         closed = lower_bound_defect(
             phi, space.set_from_bits(b_bits), space.set_from_bits(d_bits), c, n
         )
-        pre_table = _bits_table(bs.preimage_atom_bits_at(n))
+        pre_table = _mass_table(bs.preimage_atom_bits_at(n))
         values = c.denominator * mass[pre_table & b_bits] - c.numerator * mass[
             bs.subsets & d_bits
         ]
@@ -647,7 +628,7 @@ def _audit_uniform_one(index: int, system: System, rec: _Recorder, rng: SplitMix
         n = rng.randrange(3)
         b_set = space.set_from_bits(b_bits)
         m_b = int(mass[b_bits])
-        pre_table = _bits_table(bs.preimage_atom_bits_at(n))
+        pre_table = _mass_table(bs.preimage_atom_bits_at(n))
         values = bs.Q * mass[pre_table & b_bits] - mass * m_b
         brute = Fraction(int(np.abs(values).max()), q2)
         closed = uniform_mixing_defect(phi, b_set, n)

@@ -233,12 +233,6 @@ class DyadicStepFunction:
         width = Fraction(1, 1 << self.level)
         return sum(self.values, ZERO) * width
 
-    def integral_over(self, a: DyadicSet) -> Fraction:
-        level = max(self.level, a.level)
-        vals = self.at_level(level)
-        width = Fraction(1, 1 << level)
-        return sum((vals[j] for j in a.cell_indices(level)), ZERO) * width
-
     def positive_part(self) -> "DyadicStepFunction":
         return DyadicStepFunction.build(
             self.level, tuple(v if v > 0 else ZERO for v in self.values)
@@ -291,18 +285,6 @@ def exactness_profile(b: DyadicSet, n_max: int) -> tuple[Fraction, ...]:
         out.append(max(g.positive_part().integral(), g.negative_part().integral()))
         f = f.transfer()
     return tuple(out)
-
-
-def trace_defect(b: DyadicSet, d: DyadicSet, n: int) -> Fraction:
-    """The defect supremum restricted to subsets of the trace set D."""
-    if d.measure == 0:
-        raise DyadicValueError("trace set must have positive measure")
-    g = transfer_apply(DyadicStepFunction.indicator(b), n) - DyadicStepFunction.constant(
-        b.measure
-    )
-    return max(
-        g.positive_part().integral_over(d), g.negative_part().integral_over(d)
-    )
 
 
 def image_measure_profile(a: DyadicSet, n_max: int) -> tuple[Fraction, ...]:

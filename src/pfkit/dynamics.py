@@ -237,25 +237,6 @@ class SigmaSubAlgebra:
                 return False
         return True
 
-    def member_sets(self) -> Iterable[MeasurableSet]:
-        """All sets of the algebra (2^blocks of them); test-scale only."""
-        blk = self.block_bits
-        for mask in range(1 << len(blk)):
-            bits = sum(b for k, b in enumerate(blk) if mask >> k & 1)  # disjoint
-            yield MeasurableSet(self.space, bits)
-
-    def refines(self, coarser: "SigmaSubAlgebra") -> bool:
-        """True when every block of `coarser` is a union of blocks of self.
-
-        Equivalent to `coarser` being a subfamily of self as a set algebra.
-        """
-        self.space._require_same(coarser.space)
-        # each block of self must lie in the coarser block of its smallest atom
-        owner, outer = coarser.block_of_atom, coarser.block_bits
-        return all(
-            not b & ~outer[owner[_lowest_bit(b).bit_length() - 1]] for b in self.block_bits
-        )
-
     def completion(self) -> "SigmaSubAlgebra":
         """Completion modulo null sets, within the power set.
 
@@ -447,23 +428,3 @@ def minimal_invariant_superset(
             break
         full = nxt
     return MeasurableSet(phi.space, full)
-
-
-def invariant_version(phi: MeasurePreservingMap, a: MeasurableSet) -> MeasurableSet:
-    """The liminf of the preimage orbit: union over n of inter_{k>=n} phi^-k(A).
-
-    An atom lies in it exactly when its forward orbit ends on a cycle of phi
-    inside A.  Two monotone loops find those atoms: shrinking S to
-    S inter phi^-1(S) from A leaves the atoms whose whole forward orbit stays
-    in A, and growing S by phi^-1(S) then adds every atom that reaches them.
-    Each loop ends within atom-count steps, however long the set orbit of A.
-    The result is always strictly invariant; whenever A is equivalent to its
-    own preimage modulo null sets, it is also equivalent to A.
-    """
-    phi.space._require_same(a.space)
-    bits = a.bits
-    while (nxt := bits & phi.preimage_bits(bits)) != bits:
-        bits = nxt
-    while (nxt := bits | phi.preimage_bits(bits)) != bits:
-        bits = nxt
-    return MeasurableSet(phi.space, bits)

@@ -25,8 +25,7 @@ B moves n mod its cycle length along its cycle of `phi.positive_cycles`.
 The uniform defect builds P^n 1_B = 1_{B_n} from the same B_n and keeps the
 Density arithmetic (difference, positive and negative parts, integrals).
 The dense matrix of `transfer_operator` feeds only the operator routes
-(the classifiers, `limit_vanishes` and the witness), which never read the
-cycles.  `lower_bound_witness(p, b)` takes that matrix rather than the map,
+(the classifiers and the witness), which never read the cycles.  `lower_bound_witness(p, b)` takes that matrix rather than the map,
 so `classify` and the prop21 audit build it once per system and pass it to
 every witness call; `power_sequence` keeps its report on the matrix, so
 the powers of one matrix are classified once.
@@ -46,7 +45,6 @@ from .dynamics import (
 from .errors import DiagnosticInconsistencyError, NullTraceError
 from .operators import (
     MarkovMatrix,
-    conditional_expectation,
     density_power_sequence,
     fixed_space_dimension,
     power_sequence,
@@ -307,30 +305,6 @@ def image_mixing_defect(
     q = phi.space.common_denominator
     limit, m_n = masses[-1], masses[min(n, len(masses) - 1)]
     return Fraction(max((q - limit) * m_n, limit * (q - m_n)), q * q)
-
-
-def limit_vanishes(phi: MeasurePreservingMap, f: Density) -> bool:
-    """Whether P^n f -> 0, decided through the completed tail algebra.
-
-    The conditional expectation of f on the completed tail algebra must
-    vanish on every positive-mass block; cross-checked against literal
-    power iteration of the density.
-    """
-    phi.space._require_same(f.space)
-    tail, _ = tail_algebra(phi)
-    expectation = conditional_expectation(phi.space, tail.completion(), f)
-    algebra_route = all(v == 0 for v in expectation.values)
-
-    report = density_power_sequence(transfer_operator(phi), f)
-    power_route = report.converges and all(
-        v == 0 for v in report.limit.values  # type: ignore[union-attr]
-    )
-    if algebra_route != power_route:
-        raise DiagnosticInconsistencyError(
-            f"vanishing-limit routes disagree: algebra={algebra_route} "
-            f"power={power_route}"
-        )
-    return algebra_route
 
 
 @dataclass(frozen=True)

@@ -31,13 +31,12 @@ from math import lcm
 from typing import Sequence
 
 from .dynamics import MeasurePreservingMap, SigmaSubAlgebra
-from .errors import NegativeDensityError, PeriodDetectionError
+from .errors import PeriodDetectionError
 from .space import (
     ONE,
     ZERO,
     Density,
     FiniteProbabilitySpace,
-    MeasureAlgebraClass,
     bit_indices,
 )
 
@@ -325,29 +324,6 @@ def apply_power(m: MarkovMatrix, f: Density, n: int) -> Density:
     return f
 
 
-def cesaro_limit(m: MarkovMatrix) -> MarkovMatrix:
-    """The limit of the averages (1/n) sum of M^k.
-
-    For an eventually periodic power sequence the preperiod washes out and
-    the limit is the plain average over one cycle.
-    """
-    report = power_sequence(m)
-    power = identity_matrix(m.space)
-    for _ in range(report.preperiod):
-        power = power @ m
-    acc: list[dict[int, Fraction]] = [{} for _ in range(m.dimension)]
-    for _ in range(report.period):
-        for total, row in zip(acc, power.rows):
-            for j, v in row:
-                total[j] = total.get(j, ZERO) + v
-        power = power @ m
-    q = Fraction(report.period)
-    rows = tuple(
-        tuple((j, total[j] / q) for j in sorted(total) if total[j]) for total in acc
-    )
-    return MarkovMatrix(m.space, rows)
-
-
 def conditional_expectation(
     space: FiniteProbabilitySpace, algebra: SigmaSubAlgebra, f: Density
 ) -> Density:
@@ -366,13 +342,6 @@ def conditional_expectation(
         for i in atoms:
             out[pos_index[i]] = avg
     return Density(space, tuple(out))
-
-
-def density_support(f: Density) -> MeasureAlgebraClass:
-    """The class of {f > 0}; rejects densities with negative values."""
-    if not f.is_nonnegative():
-        raise NegativeDensityError("support is defined for nonnegative densities")
-    return MeasureAlgebraClass(f.space, f.support_bits())
 
 
 def fixed_space_dimension(m: MarkovMatrix) -> int:

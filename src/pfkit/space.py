@@ -233,17 +233,6 @@ class MeasureAlgebraClass:
         return "cls" + repr(self.representative())
 
 
-def algebra_distance(a: MeasurableSet, b: MeasurableSet) -> Fraction:
-    """Metric on the measure algebra: the mass of the symmetric difference.
-
-    Vanishes exactly when the two sets are equal modulo null atoms, and the
-    triangle inequality follows from subadditivity of the symmetric
-    difference.
-    """
-    a._check(b)
-    return a.space.measure_bits(a.bits ^ b.bits)
-
-
 def class_distance(a: MeasureAlgebraClass, b: MeasureAlgebraClass) -> Fraction:
     a.space._require_same(b.space)
     return a.space.measure_bits(a.canonical_bits ^ b.canonical_bits)
@@ -304,11 +293,6 @@ class Density:
         """Pointwise (-f) clipped at zero, so f = f+ - f- holds."""
         return Density(self.space, tuple(-v if v < 0 else ZERO for v in self.values))
 
-    def l1_norm(self) -> Fraction:
-        w = self.space.masses
-        pos = self.space.positive_support
-        return sum((abs(self.values[k]) * w[a] for k, a in enumerate(pos)), ZERO)
-
     def support_bits(self) -> int:
         bits = 0
         for k, atom in enumerate(self.space.positive_support):
@@ -339,11 +323,3 @@ def indicator(space: FiniteProbabilitySpace, a: MeasurableSet) -> Density:
 def constant_density(space: FiniteProbabilitySpace, c: Fraction | int) -> Density:
     c = Fraction(c)
     return Density(space, tuple(c for _ in space.positive_support))
-
-
-def inner(f: Density, g: Density) -> Fraction:
-    """The weighted pairing integral(f * g)."""
-    f._check(g)
-    w = f.space.masses
-    pos = f.space.positive_support
-    return sum((f.values[k] * g.values[k] * w[a] for k, a in enumerate(pos)), ZERO)

@@ -74,6 +74,17 @@ def subsets(draw, space):
     return space.set_from_bits(draw(st.integers(0, space.full_mask)))
 
 
+def inner(f, g):
+    """The weighted pairing integral(f * g) of two densities: the test oracle
+    for the adjointness of the transfer and Koopman operators."""
+    f.space._require_same(g.space)
+    w = f.space.masses
+    return sum(
+        (x * y * w[a] for x, y, a in zip(f.values, g.values, f.space.positive_support)),
+        Fraction(0),
+    )
+
+
 def generated_systems(count=40, seed=2024, **kwargs):
     gen = SystemGenerator(seed, **kwargs)
     return [gen.system(i) for i in range(count)]

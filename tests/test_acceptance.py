@@ -20,7 +20,6 @@ from pfkit import (
     image_defect,
     image_measure_profile,
     indicator,
-    inner,
     koopman_operator,
     minimal_invariant_superset,
     mixing_profile,
@@ -34,6 +33,8 @@ from pfkit import (
     ulam_assemble,
 )
 from pfkit.dyadic import image_measure_limit
+
+from conftest import inner
 
 F = Fraction
 SEED = 20260814

@@ -12,7 +12,6 @@ from pfkit import (
     NotMeasurePreservingError,
     SplitMix64,
     SystemGenerator,
-    positive_permutation_form,
     run_audit,
     three_point_system,
 )
@@ -150,6 +149,20 @@ def _compositions(total, parts):
     for first in range(1, total - parts + 2):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def positive_permutation_form(space, targets):
+    """Whether a target list permutes the positive atoms within mass classes:
+    the shape the generator emits, and the test oracle for measure
+    preservation on small spaces."""
+    pos = set(space.positive_support)
+    seen = set()
+    for a in pos:
+        t = targets[a]
+        if t not in pos or space.masses[t] != space.masses[a] or t in seen:
+            return False
+        seen.add(t)
+    return True
 
 
 def test_valid_maps_are_exactly_mass_class_permutations():

@@ -10,7 +10,6 @@ from pfkit import (
     exactness_profile,
     image_defect,
     image_measure_profile,
-    trace_defect,
     transfer_apply,
     transition_matrix,
 )
@@ -135,7 +134,6 @@ def test_step_function_arithmetic():
     assert h.integral() == 0
     assert h.positive_part().integral() == QUARTER
     assert h.negative_part().integral() == QUARTER
-    assert h.integral_over(dset((F(0), HALF))) == QUARTER
 
 
 def test_transfer_coarsens_one_level():
@@ -182,16 +180,6 @@ def test_profile_vanishes_from_the_level_on(b):
     profile = exactness_profile(b, k + 3)
     assert all(d == 0 for d in profile[k:])
     assert all(d >= 0 for d in profile)
-
-
-def test_trace_defect_values():
-    b = dset((F(0), QUARTER))
-    d = dset((F(0), HALF))
-    # P 1_B is 1/2 on [0,1/2); over the trace the gap to 1/4 integrates to 1/8
-    assert trace_defect(b, d, 1) == F(1, 8)
-    assert trace_defect(b, DyadicSet.full(), 1) == F(1, 8)
-    with pytest.raises(DyadicValueError):
-        trace_defect(b, DyadicSet.empty(), 1)
 
 
 def test_image_profiles():

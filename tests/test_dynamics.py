@@ -1,11 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from pfkit import (
     FiniteProbabilitySpace,
-    MeasurableSet,
     MeasurePreservingMap,
     NotMeasurePreservingError,
     OrbitTooLongError,
@@ -13,7 +12,6 @@ from pfkit import (
     completions_equal,
     identity_system,
     invariant_algebra,
-    invariant_version,
     minimal_invariant_superset,
     preimage_algebra,
     set_orbit,
@@ -201,6 +199,11 @@ def _old_completion(space, blocks):
     return _old_canonical([*_old_positive_blocks(space, blocks), *nulls])
 
 
+def _coarsens(fine, coarse):
+    """Whether every block of `coarse` is a member set of `fine`."""
+    return all(fine.contains_set(fine.space.set_from_bits(b)) for b in coarse.block_bits)
+
+
 def _groups(labels):
     """The atoms sharing each label, as lists in first-seen order."""
     groups = {}
@@ -228,12 +231,12 @@ def test_block_views_match_the_tuple_partition_oracle(space, data):
     assert alg.completion().blocks == _old_completion(space, old)
     assert SigmaSubAlgebra.from_blocks(space, alg.blocks) == alg
     merged = [merge[label] for label in labels]  # a coarsening of alg
-    assert alg.refines(SigmaSubAlgebra.from_blocks(space, _groups(merged)))
+    assert _coarsens(alg, SigmaSubAlgebra.from_blocks(space, _groups(merged)))
     for coarse_labels in (merged, other):
         coarse = SigmaSubAlgebra.from_blocks(space, _groups(coarse_labels))
         coarse_old = _old_canonical(_groups(coarse_labels))
-        assert alg.refines(coarse) == _old_refines(old, coarse_old, n)
-        assert coarse.refines(alg) == _old_refines(coarse_old, old, n)
+        assert _coarsens(alg, coarse) == _old_refines(old, coarse_old, n)
+        assert _coarsens(coarse, alg) == _old_refines(coarse_old, old, n)
     union = sum(b for b in alg.block_bits if data.draw(st.booleans()))
     for bits in (union, data.draw(st.integers(0, space.full_mask))):
         assert alg.contains_set(space.set_from_bits(bits)) == _old_contains(old, bits)
@@ -244,7 +247,11 @@ def test_algebra_membership(three_point):
     alg = SigmaSubAlgebra.from_blocks(space, [(0,), (1, 2)])
     assert alg.contains_set(space.set_of(["2", "3"]))
     assert not alg.contains_set(space.set_of(["3"]))
-    members = {tuple(sorted(s.labels())) for s in alg.member_sets()}
+    members = {
+        tuple(sorted(s.labels()))
+        for s in map(space.set_from_bits, range(1 << space.atom_count))
+        if alg.contains_set(s)
+    }
     assert members == {(), ("1",), ("2", "3"), ("1", "2", "3")}
 
 
@@ -267,7 +274,7 @@ def test_preimage_algebras_coarsen(system):
     previous = preimage_algebra(phi, 0)
     for n in range(1, 4):
         current = preimage_algebra(phi, n)
-        assert previous.refines(current)
+        assert _coarsens(previous, current)
         previous = current
 
 
@@ -357,58 +364,6 @@ def test_superset_is_union_of_touched_components(system, data):
     assert star.bits == expected
     assert phi.image(star).is_subset(star)
     assert phi.preimage(star) == star
-
-
-def test_invariant_version(three_point):
-    space, phi = three_point
-    v = invariant_version(phi, space.set_of(["3"]))
-    assert sorted(v.labels()) == ["2", "3"]
-    assert phi.preimage(v) == v
-    v12 = invariant_version(phi, space.set_of(["1", "2"]))
-    assert sorted(v12.labels()) == ["1"]
-
-
-@given(systems(), st.data())
-def test_invariant_version_is_strictly_invariant(system, data):
-    space, phi = system
-    a = space.set_from_bits(data.draw(st.integers(0, space.full_mask)))
-    v = invariant_version(phi, a)
-    assert phi.preimage(v) == v
-
-
-def oracle_invariant_version(phi, a):
-    """The former body: intersect one full cycle of the backward set orbit."""
-    phi.space._require_same(a.space)
-    orbit = set_orbit(phi, a, direction="backward")
-    bits = phi.space.full_mask
-    for j in range(orbit.period):
-        bits &= orbit.orbit_sets[orbit.preperiod + j].bits
-    return MeasurableSet(phi.space, bits)
-
-
-@settings(max_examples=200)
-@given(systems(max_positive=8, max_null=6), st.data())
-def test_invariant_version_matches_the_backward_orbit_oracle(system, data):
-    space, phi = system
-    a = space.set_from_bits(data.draw(st.integers(0, space.full_mask)))
-    assert invariant_version(phi, a) == oracle_invariant_version(phi, a)
-
-
-def test_invariant_version_needs_no_set_orbit(monkeypatch):
-    # one atom per cycle of lengths 2..17: the backward orbit of the cycle
-    # starts is 510,510 sets long, above MAX_ORBIT_LENGTH
-    lengths = PRIME_CYCLES + (17,)
-    space, phi = cycle_system(lengths)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("invariant_version walked a set orbit")
-
-    monkeypatch.setattr(dynamics, "set_orbit", forbidden)
-    starts = cycle_starts(lengths)
-    assert invariant_version(phi, space.set_from_bits(starts)).bits == 0
-    # the last cycle held whole survives, the lone starts do not
-    last = sum(1 << i for i in range(41, 58))
-    assert invariant_version(phi, space.set_from_bits(starts | last)).bits == last
 
 
 def test_null_chain_fixture():

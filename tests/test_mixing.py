@@ -22,7 +22,6 @@ from pfkit import (
     is_ergodic,
     is_exact,
     is_mixing,
-    limit_vanishes,
     lower_bound_defect,
     lower_bound_witness,
     save_system,
@@ -187,22 +186,6 @@ def test_image_defect_vanishes_on_exact_system():
         a = space.set_from_bits(bits)
         assert image_measure_limit(phi, a) == 1
         assert image_mixing_defect(phi, a, space.atom_count + 1) == 0
-
-
-def test_limit_vanishes(three_point):
-    space, phi = three_point
-    null_f = indicator(space, space.set_of(["2"]))
-    assert limit_vanishes(phi, null_f)
-    assert not limit_vanishes(phi, indicator(space, space.set_of(["1"])))
-
-
-def test_limit_vanishes_diverging_powers(swap):
-    space, phi = swap
-    f = indicator(space, space.set_of(["a"])) - indicator(space, space.set_of(["b"]))
-    assert not limit_vanishes(phi, f)
-    from pfkit import constant_density
-
-    assert limit_vanishes(phi, constant_density(space, Fraction(0)))
 
 
 def test_profile_invariants_enforced():
