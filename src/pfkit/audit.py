@@ -65,16 +65,41 @@ System = tuple[FiniteProbabilitySpace, MeasurePreservingMap]
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_INDEX_KEY = 0xD1342543DE82EF95
 
 EXHAUSTIVE_ATOM_LIMIT = 12
 SAMPLED_SUBSETS = 256
 
+# Systems per vectorised draw in `_run_range`.  Larger chunks hold more
+# pre-drawn words and systems at once for no further gain in speed.
+_CHUNK = 32
+
 
 def _mix64(x: int) -> int:
     x &= MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    x = ((x ^ (x >> 30)) * _MIX1) & MASK64
+    x = ((x ^ (x >> 27)) * _MIX2) & MASK64
     return x ^ (x >> 31)
+
+
+def _mix64_array(x: np.ndarray) -> np.ndarray:
+    """`_mix64` of every uint64 in `x`, in place.  Array arithmetic wraps
+    modulo 2^64 as the scalar code masks it."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MIX1)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MIX2)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _splitmix_words(states: np.ndarray, count: int) -> np.ndarray:
+    """Row r holds the first `count` words of `SplitMix64(states[r])`:
+    word i is `_mix64` of the state plus i * gamma, for i = 1..count."""
+    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    return _mix64_array(states[:, None] + steps)
 
 
 class SplitMix64:
@@ -111,6 +136,27 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
+class _DrawnSplitMix64(SplitMix64):
+    """A `SplitMix64` whose next words were drawn ahead in bulk.
+
+    `next_u64` hands out the pre-drawn row first.  `state` already stands
+    past the row, so once the row runs out the scalar stream continues
+    from the matching state.
+    """
+
+    __slots__ = ("_row",)
+
+    def __init__(self, end_state: int, row: list[int]):
+        self.state = end_state
+        row.reverse()
+        self._row = row
+
+    def next_u64(self) -> int:
+        if self._row:
+            return self._row.pop()
+        return SplitMix64.next_u64(self)
+
+
 @dataclass(frozen=True)
 class SystemGenerator:
     """Seeded source of random finite measure-preserving systems.
@@ -135,9 +181,31 @@ class SystemGenerator:
             raise ValueError("denominator bound below the positive atom count")
 
     def system(self, index: int) -> System:
-        if index == 0:
-            return three_point_system()
-        rng = SplitMix64(_mix64(self.seed ^ (index * 0xD1342543DE82EF95)))
+        return self.systems(index, index + 1)[0]
+
+    def systems(self, start: int, stop: int) -> list[System]:
+        """Systems `start`..`stop - 1`; entry i is `system(start + i)`.
+
+        One numpy pass draws every system's stream state,
+        `_mix64(seed ^ index * key)`, and the words it draws when no draw
+        is rejected: three sizes, at most B - 1 for the cut shuffle,
+        P + N - 1 for the mass shuffle, P for the class shuffles and two per
+        null atom, with B, P and N the bounds of this generator.  A rejected
+        draw takes the next word of the same stream, so a row may run out;
+        the stream then goes on word by word.
+        """
+        p, n, b = self.max_positive_atoms, self.max_null_atoms, self.mass_denominator_bound
+        width = 3 + (b - 1) + (p + n - 1) + p + 2 * n
+        keys = np.arange(stop - start, dtype=np.uint64) + np.uint64(start & MASK64)
+        states = _mix64_array(keys * np.uint64(_INDEX_KEY) ^ np.uint64(self.seed & MASK64))
+        ends = (states + np.uint64(width * _GAMMA & MASK64)).tolist()
+        rows = _splitmix_words(states, width).tolist()
+        return [
+            three_point_system() if index == 0 else self._draw(_DrawnSplitMix64(end, row))
+            for index, end, row in zip(range(start, stop), ends, rows)
+        ]
+
+    def _draw(self, rng: SplitMix64) -> System:
         n_pos = 1 + rng.randrange(self.max_positive_atoms)
         n_null = rng.randrange(self.max_null_atoms + 1)
 
@@ -205,11 +273,13 @@ def _mass_table(per_atom: Sequence[int]) -> np.ndarray:
 class _BitSystem:
     """The audit's own route to one system's dynamics: per-atom forward walks.
 
-    Each atom is followed through `phi.targets` until it repeats.  The walks
-    deliberately avoid `iterate_atom`, `set_orbit` and `preimage_algebra`,
-    since those are the production routes the audits check them against.
-    Cycle masks, n-step preimage fibers and the orbit encodings are derived
-    from the walks; masses and masks are read off the space.
+    The walk of an atom follows `phi.targets` until it repeats.  All walks
+    come from one pass over the functional graph, and they deliberately
+    avoid `iterate_atom`, `positive_cycles`, `set_orbit` and
+    `preimage_algebra`, since those are the production routes the audits
+    check them against.  Cycle masks, n-step preimage fibers and the orbit
+    encodings are derived from the walks; masses and masks are read off the
+    space.
     """
 
     def __init__(self, space: FiniteProbabilitySpace, phi: MeasurePreservingMap):
@@ -219,20 +289,44 @@ class _BitSystem:
         self.posmask = space.positive_mask
         self.full = space.full_mask
 
-        pres: list[int] = []
-        cycles: list[int] = []
-        walks: list[list[int]] = []
+        # Follow each atom not yet walked until the path meets itself (a new
+        # cycle: every path atom from the meeting point on walks one
+        # rotation of it) or an atom already walked.  Each atom before that
+        # point walks the rest of the path, then the walk of the atom met.
+        # Fixed points, about half the atoms of a generated system, walk
+        # only themselves.
+        targets = phi.targets
+        pres = [0] * self.k
+        cycles = [1] * self.k
+        walks: list = [None] * self.k
+        step = [-1] * self.k  # position on the path that reached the atom
         for a in range(self.k):
-            seen: dict[int, int] = {}
-            walk: list[int] = []
-            x = a
-            while x not in seen:
-                seen[x] = len(walk)
-                walk.append(x)
-                x = phi.targets[x]
-            pres.append(seen[x])
-            cycles.append(len(walk) - seen[x])
-            walks.append(walk)
+            if walks[a] is not None:
+                continue
+            step[a] = 0
+            x = targets[a]
+            if x == a:
+                walks[a] = [a]
+                continue
+            path = [a]
+            while step[x] < 0:
+                step[x] = len(path)
+                path.append(x)
+                x = targets[x]
+            end = len(path)
+            if walks[x] is None:
+                end = step[x]
+                length = len(path) - end
+                loop = path[end:] * 2
+                for i in range(length):
+                    walks[loop[i]] = loop[i : i + length]
+                    cycles[loop[i]] = length
+                x = path[end]
+            rest, pre, length = walks[x], pres[x], cycles[x]
+            for i in range(end):
+                walks[path[i]] = path[i:end] + rest
+                pres[path[i]] = end - i + pre
+                cycles[path[i]] = length
         self.atom_pre = pres
         self.atom_cycle = cycles
         self.atom_walk = walks
@@ -241,9 +335,13 @@ class _BitSystem:
         for length in cycles:
             self.joint_period = lcm(self.joint_period, length)
 
+    @cached_property
+    def cycle_masks(self) -> set[int]:
         # positive atoms are permuted, so the walk of one is its whole cycle
-        self.cycle_masks = {
-            sum(1 << x for x in walks[a]) for a in space.positive_support
+        return {
+            sum(1 << x for x in walk)
+            for a, walk in enumerate(self.atom_walk)
+            if self.posmask >> a & 1
         }
 
     @cached_property
@@ -352,27 +450,19 @@ _VECTOR_DRAWS = 16
 def _sample_subsets(rng: SplitMix64, full: int, count: int) -> list[int]:
     """`count` draws of `rng.next_u64() & full`, advancing `rng` to match.
 
-    From `_VECTOR_DRAWS` draws on, the words come from one uint64 numpy
-    pass: state i is start + i * gamma and each word is `_mix64` of its
-    state, with the array arithmetic wrapping modulo 2^64 as the scalar
-    code masks it.  That pass exists for the `SAMPLED_SUBSETS` draws of
+    From `_VECTOR_DRAWS` draws on, the words come from one pass of
+    `_splitmix_words`, the kernel the generator draws its rows with.  That
+    pass exists for the `SAMPLED_SUBSETS` draws of
     the convergence audit on systems above `EXHAUSTIVE_ATOM_LIMIT` atoms; the
     other callers draw 4 or 8 words and stay on the scalar loop.
     """
     if count < _VECTOR_DRAWS:
         return [rng.next_u64() & full for _ in range(count)]
-    start = rng.state
-    rng.state = (start + count * _GAMMA) & MASK64
-    x = np.arange(1, count + 1, dtype=np.uint64)
-    x *= np.uint64(_GAMMA)
-    x += np.uint64(start)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    x &= np.uint64(full & MASK64)
-    return x.tolist()
+    start = np.array([rng.state], dtype=np.uint64)
+    rng.state = (rng.state + count * _GAMMA) & MASK64
+    words = _splitmix_words(start, count)[0]
+    words &= np.uint64(full & MASK64)
+    return words.tolist()
 
 
 # --------------------------------------------------------------------------
@@ -663,21 +753,37 @@ def _audit_image_one(index: int, system: System, rec: _Recorder, rng: SplitMix64
 
     # forward image measures never decrease: A sits in the preimage of its
     # image.  Once the image repeats, every later step repeats a checked
-    # one, so the walk stops after the step that closes the cycle.
+    # one, so a walk stops after the step that closes the cycle.  Starts
+    # share their walks: `to_loss[S]` is the number of steps from S to the
+    # first step that loses mass, or None if none can be reached.  Only a
+    # walk that closed (on a loss, a repeat or a set already known) is
+    # recorded, and a start fails iff its loss lies within the step bound.
+    bound = bs.joint_pre + bs.joint_period + 1
+    to_loss: dict[int, int | None] = {}
     for a_bits in _sample_subsets(rng, bs.full, 8) + [1 << a for a in range(bs.k)]:
-        prev = space.mass_bits(a_bits)
-        cur = a_bits
-        seen = {cur}
-        for _ in range(bs.joint_pre + bs.joint_period + 1):
-            cur = phi.image_bits(cur)
-            m_cur = space.mass_bits(cur)
-            if m_cur < prev:
-                rec.fail(index, "image-monotone", f"A={a_bits:#x}")
+        if a_bits not in to_loss:
+            path = {a_bits: 0}  # each set of the walk, with its step
+            prev = space.mass_bits(a_bits)
+            cur = a_bits
+            for step in range(1, bound + 1):
+                cur = phi.image_bits(cur)
+                m_cur = space.mass_bits(cur)
+                if m_cur < prev:
+                    rest = 0
+                elif cur in to_loss:
+                    rest = to_loss[cur]
+                elif cur in path:
+                    rest = None
+                else:
+                    path[cur] = step
+                    prev = m_cur
+                    continue
+                for s, i in path.items():
+                    to_loss[s] = None if rest is None else step - i + rest
                 break
-            if cur in seen:
-                break
-            seen.add(cur)
-            prev = m_cur
+        steps = to_loss.get(a_bits)
+        if steps is not None and steps <= bound:
+            rec.fail(index, "image-monotone", f"A={a_bits:#x}")
 
     # defect limit vanishes for every atom orbit iff the system is exact
     route = True
@@ -809,11 +915,11 @@ def _run_range(
 ) -> list[AuditFailure]:
     names = list(_AUDITS) if theorem == "all" else [theorem]
     rec = _Recorder()
-    for index in range(start, stop):
-        system = gen.system(index)
-        for name in names:
-            rng = SplitMix64(_mix64(gen.seed ^ _mix64(index + _SALTS[name])))
-            _AUDITS[name](index, system, rec, rng)
+    for lo in range(start, stop, _CHUNK):
+        for index, system in enumerate(gen.systems(lo, min(lo + _CHUNK, stop)), lo):
+            for name in names:
+                rng = SplitMix64(_mix64(gen.seed ^ _mix64(index + _SALTS[name])))
+                _AUDITS[name](index, system, rec, rng)
     return rec.failures
 
 

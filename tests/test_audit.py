@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -15,9 +16,11 @@ from pfkit import (
     run_audit,
     three_point_system,
 )
+import pfkit.audit as audit_module
 from pfkit.audit import (
     MASK64,
     _BitSystem,
+    _DrawnSplitMix64,
     _audit_image_one,
     _audit_lower_bound_one,
     _audit_structural_one,
@@ -29,6 +32,10 @@ from pfkit.audit import (
     _sample_subsets,
     _worker_count,
 )
+
+from conftest import cycle_system
+
+SAMPLED_BOUNDS = {"max_positive_atoms": 16, "max_null_atoms": 4, "mass_denominator_bound": 48}
 
 
 def test_splitmix_reference_stream():
@@ -135,6 +142,80 @@ def test_generator_stream_is_pinned(gen, digest):
     assert _stream_digest(gen) == digest
 
 
+PINNED_GENERATORS = [SystemGenerator(20260814), SystemGenerator(7), SystemGenerator(20260814, **SAMPLED_BOUNDS)]
+
+
+@functools.lru_cache(maxsize=None)
+def _one_by_one(gen: SystemGenerator) -> tuple:
+    return tuple(gen.system(i) for i in range(1000))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 32])
+@pytest.mark.parametrize("gen", PINNED_GENERATORS, ids=["default", "seed-7", "sampled"])
+def test_chunked_systems_match_system_per_index(gen, chunk):
+    chunked = [s for lo in range(0, 1000, chunk) for s in gen.systems(lo, min(lo + chunk, 1000))]
+    assert tuple(chunked) == _one_by_one(gen)
+
+
+def _scalar_words(start: int, count: int) -> tuple[list[int], int]:
+    """The next `count` words of `SplitMix64(start)` and the state after them."""
+    rng = SplitMix64(start)
+    return [rng.next_u64() for _ in range(count)], rng.state
+
+
+def test_rows_are_the_scalar_streams_of_their_indices(monkeypatch):
+    """Each system's row holds the first words of its scalar stream, and
+    the state it starts from once the row runs out is the scalar state
+    after those words."""
+    drawn = []
+
+    class Recording(_DrawnSplitMix64):
+        def __init__(self, end_state, row):
+            drawn.append((list(row), end_state))
+            super().__init__(end_state, row)
+
+    monkeypatch.setattr(audit_module, "_DrawnSplitMix64", Recording)
+    gen = SystemGenerator(20260814, **SAMPLED_BOUNDS)
+    gen.systems(1, 40)
+    assert len(drawn) == 39
+    for index, (row, end) in enumerate(drawn, 1):
+        assert (row, end) == _scalar_words(_mix64(gen.seed ^ index * 0xD1342543DE82EF95), len(row))
+
+
+def test_an_exhausted_row_goes_on_with_the_scalar_stream():
+    start = _mix64(20260814)
+    row, end = _scalar_words(start, 8)
+    drawn, scalar = _DrawnSplitMix64(end, row), SplitMix64(start)
+    assert [drawn.next_u64() for _ in range(20)] == [scalar.next_u64() for _ in range(20)]
+    assert drawn.state == scalar.state
+
+
+@pytest.mark.parametrize("n", [3, 7, 48])
+def test_a_rejected_word_in_a_row_takes_the_next_word(n):
+    """A word at or above 2^64 - 2^64 mod n is rejected by randrange; one
+    injected into a row is skipped, and every accepted draw, in the row and
+    past it, is the one the scalar stream makes."""
+    start = _mix64(7)
+    row, end = _scalar_words(start, 8)
+    limit = (1 << 64) - (1 << 64) % n
+    row[3:3] = [limit, MASK64]
+    drawn, scalar = _DrawnSplitMix64(end, row), SplitMix64(start)
+    assert [drawn.randrange(n) for _ in range(20)] == [scalar.randrange(n) for _ in range(20)]
+    assert drawn.state == scalar.state
+
+
+def test_rows_follow_scalar_rejections():
+    """With n just above 2^63 about half of all words are rejected, so the
+    rows run out early and the draws continue on the scalar stream."""
+    n = (1 << 63) + 1
+    start = _mix64(1)
+    row, end = _scalar_words(start, 8)
+    assert any(w >= (1 << 64) - (1 << 64) % n for w in row)
+    drawn, scalar = _DrawnSplitMix64(end, row), SplitMix64(start)
+    assert [drawn.randrange(n) for _ in range(12)] == [scalar.randrange(n) for _ in range(12)]
+    assert drawn.state == scalar.state
+
+
 def test_generator_parameter_validation():
     with pytest.raises(ValueError):
         SystemGenerator(seed=1, max_positive_atoms=0)
@@ -220,6 +301,38 @@ def test_bit_system_orbit_big_encodes_the_cycle(three_point):
         assert (x ^ (x >> bs.k)) & tail_mask == 0  # every orbit converges here
 
 
+def _per_atom_walks(phi):
+    """Each atom followed through `phi.targets` with a dict of its own until
+    it repeats: the reference for the one-pass walks of `_BitSystem`."""
+    pres, cycles, walks = [], [], []
+    for a in range(len(phi.targets)):
+        seen, walk, x = {}, [], a
+        while x not in seen:
+            seen[x] = len(walk)
+            walk.append(x)
+            x = phi.targets[x]
+        pres.append(seen[x])
+        cycles.append(len(walk) - seen[x])
+        walks.append(walk)
+    return pres, cycles, walks
+
+
+def test_bit_system_walks_match_the_per_atom_oracle(monkeypatch):
+    population = [cycle_system((3, 2), null_targets=(6, 7, 0)), cycle_system((1, 4), null_targets=(5, 5))]
+    for gen in (SystemGenerator(20260814), SystemGenerator(7, **SAMPLED_BOUNDS)):
+        population += gen.systems(0, 200)
+
+    def production_route(*args, **kwargs):
+        raise AssertionError("the audit's own walks read a production route")
+
+    monkeypatch.setattr(audit_module, "set_orbit", production_route)
+    monkeypatch.setattr(MeasurePreservingMap, "iterate_atom", production_route)
+    monkeypatch.setattr(MeasurePreservingMap, "positive_cycles", property(production_route))
+    for space, phi in population:
+        bs = _BitSystem(space, phi)
+        assert (bs.atom_pre, bs.atom_cycle, bs.atom_walk) == _per_atom_walks(phi)
+
+
 def test_run_audit_accepts_only_known_names():
     with pytest.raises(ValueError):
         run_audit("nope", seed=1, count=1)
@@ -250,6 +363,11 @@ def test_report_is_byte_deterministic():
 def test_parallel_run_merges_to_the_same_report():
     solo = run_audit("main", seed=21, count=40, jobs=1)
     split = run_audit("main", seed=21, count=40, jobs=3)
+    assert solo.canonical_json() == split.canonical_json()
+    # 45 systems in two workers: the second range starts inside a chunk
+    gen = SystemGenerator(21, **SAMPLED_BOUNDS)
+    solo = run_audit("main", seed=21, count=45, jobs=1, generator=gen)
+    split = run_audit("main", seed=21, count=45, jobs=2, generator=gen)
     assert solo.canonical_json() == split.canonical_json()
 
 
@@ -302,6 +420,108 @@ def test_image_walk_checks_the_step_that_closes_a_cycle(swap, monkeypatch):
     rec = _Recorder()
     _audit_image_one(0, swap, rec, SplitMix64(_mix64(0)))
     assert f"A={a:#x}" in {f.detail for f in rec.failures if f.check == "image-monotone"}
+
+
+def _per_start_image_walk(index, system, rng):
+    """`image-monotone` failures when each start walks on its own, for at
+    most joint_pre + joint_period + 1 steps, stopping after the step that
+    closes a cycle: the reference for the walk that shares verdicts."""
+    space, phi = system
+    bs = _BitSystem(space, phi)
+    rec = _Recorder()
+    for a_bits in _sample_subsets(rng, bs.full, 8) + [1 << a for a in range(bs.k)]:
+        prev = space.mass_bits(a_bits)
+        cur = a_bits
+        seen = {cur}
+        for _ in range(bs.joint_pre + bs.joint_period + 1):
+            cur = phi.image_bits(cur)
+            m_cur = space.mass_bits(cur)
+            if m_cur < prev:
+                rec.fail(index, "image-monotone", f"A={a_bits:#x}")
+                break
+            if cur in seen:
+                break
+            seen.add(cur)
+            prev = m_cur
+    return rec.failures
+
+
+def _image_monotone(index, system, seed):
+    rec = _Recorder()
+    _audit_image_one(index, system, rec, SplitMix64(seed))
+    return [f for f in rec.failures if f.check == "image-monotone"]
+
+
+def test_image_walk_reports_every_start_that_reaches_a_fault(monkeypatch):
+    """Every set maps onto the full space, and the full space loses mass on
+    its way to {0}: each start reaches that step, through the verdict of
+    the first walk, and each is reported once."""
+    system = cycle_system((1, 1, 1, 1))
+    full = system[0].full_mask
+    calls = []
+
+    def faulty(self, bits):
+        calls.append(bits)
+        return 1 if bits == full else full
+
+    monkeypatch.setattr(MeasurePreservingMap, "image_bits", faulty)
+    # keep the image-limit checks after the walk from stepping images too
+    for route in ("is_exact", "image_mixing_defect", "image_measure_limit"):
+        monkeypatch.setattr(audit_module, route, lambda *args: 0)
+    starts = _sample_subsets(SplitMix64(_mix64(3)), full, 8) + [1, 2, 4, 8]
+    expected = _per_start_image_walk(0, system, SplitMix64(_mix64(3)))
+    assert {f.detail for f in expected} == {f"A={a:#x}" for a in starts}
+    calls.clear()
+    assert _image_monotone(0, system, _mix64(3)) == expected
+    # one step per distinct start, and the full space's step once
+    assert len(calls) == len(set(starts) - {full}) + 1
+
+
+@pytest.mark.parametrize(
+    "chain, failing, passing",
+    [
+        ({1 << a: (1 << (a + 1)) & 0x3F for a in range(6)}, {"A=0x10", "A=0x20"}, "A=0x8"),
+        ({1 << a: (1 << a) >> 1 for a in range(6)}, {"A=0x1", "A=0x2"}, "A=0x4"),
+    ],
+    ids=["up", "down"],
+)
+def test_image_walk_keeps_the_step_bound(monkeypatch, chain, failing, passing):
+    """Singletons step along a chain that loses mass only on its step to
+    the empty set.  Six fixed points give a bound of two steps, so only the
+    two singletons nearest that step fail.  Up the chain, the walks from
+    {0} and {3} end unclosed, and taking them as lossless would hide {4}
+    and {5}.  Down it, {2} reaches the known verdict of {1} one step beyond
+    its bound."""
+    system = cycle_system((1,) * 6)
+    real = MeasurePreservingMap.image_bits
+
+    def faulty(self, bits):
+        return chain.get(bits, real(self, bits))
+
+    monkeypatch.setattr(MeasurePreservingMap, "image_bits", faulty)
+    expected = _per_start_image_walk(0, system, SplitMix64(_mix64(0)))
+    assert failing <= {f.detail for f in expected}
+    assert passing not in {f.detail for f in expected}
+    assert _image_monotone(0, system, _mix64(0)) == expected
+
+
+def test_shared_image_walk_matches_the_per_start_walk(monkeypatch):
+    """A lossy image map on generated systems: the shared walk reports
+    exactly the starts, in order, that the per-start walk reports."""
+    real = MeasurePreservingMap.image_bits
+
+    def lossy(self, bits):
+        image = real(self, bits)
+        return image & (image - 1) if bits % 7 == 3 else image
+
+    monkeypatch.setattr(MeasurePreservingMap, "image_bits", lossy)
+    reported = 0
+    for gen in (SystemGenerator(20260814), SystemGenerator(7, **SAMPLED_BOUNDS)):
+        for index, system in enumerate(gen.systems(0, 150)):
+            expected = _per_start_image_walk(index, system, SplitMix64(_mix64(index)))
+            assert _image_monotone(index, system, _mix64(index)) == expected
+            reported += len(expected)
+    assert reported > 100
 
 
 def test_witness_route_sees_a_cycle_among_fixed_points():

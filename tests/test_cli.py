@@ -2,7 +2,6 @@ import csv
 import gc
 import io
 import json
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner, _NamedTextIOWrapper

@@ -23,8 +23,6 @@ from pfkit import dynamics
 
 from conftest import PRIME_CYCLES, cycle_starts, cycle_system, spaces, systems
 
-HALF = Fraction(1, 2)
-
 
 def test_mass_transport_must_balance(three_point):
     space, _ = three_point

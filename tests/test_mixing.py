@@ -29,7 +29,6 @@ from pfkit import (
     single_atom_with_nulls,
     trace_mixing_defect,
     transfer_operator,
-    two_atom_swap,
     uniform_mixing_defect,
 )
 from pfkit import dynamics, mixing, operators

@@ -3,7 +3,8 @@
 Every name in `pfkit.__all__` must be used by the package itself or by a
 demo; a function that only tests call belongs in the tests.  Names are
 read from the syntax trees of `src/pfkit/*.py` (without `__init__.py`,
-which only re-exports) and `demos/*.py`.
+which only re-exports) and `demos/*.py`.  Neither those modules nor the
+tests may import a name they never use.
 """
 
 import ast
@@ -14,6 +15,7 @@ import pfkit
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "pfkit").glob("*.py") if p.name != "__init__.py")
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # Exported for callers outside the package, with no caller inside it.
 ALLOWED_UNREFERENCED = {
@@ -50,7 +52,7 @@ def test_every_export_has_a_caller():
 
 def test_no_module_imports_a_name_it_never_uses():
     unused = []
-    for path in MODULES:
+    for path in MODULES + TESTS:
         tree = _tree(path)
         used = _used_names(tree)
         for node in ast.walk(tree):
@@ -60,5 +62,5 @@ def test_no_module_imports_a_name_it_never_uses():
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
                     if bound not in used:
-                        unused.append(f"{path.name}: {bound}")
+                        unused.append(f"{path.parent.name}/{path.name}: {bound}")
     assert unused == []
