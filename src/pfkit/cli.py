@@ -20,15 +20,9 @@ from . import dyadic as dy
 from . import ulam as ul
 from .audit import AUDIT_NAMES, run_audit
 from .dynamics import set_orbit
-from .errors import (
-    DiagnosticInconsistencyError,
-    OrbitTooLongError,
-    ParseError,
-    PeriodDetectionError,
-    PfkitError,
-)
+from .errors import DiagnosticInconsistencyError, OrbitTooLongError, ParseError, PfkitError
 from .mixing import classify, image_mixing_defect, lower_bound_defect, trace_mixing_defect, uniform_mixing_defect
-from .operators import power_sequence, transfer_operator
+from .operators import transfer_powers
 from .space import class_distance
 from .systemio import (
     SCHEMA_VERSION,
@@ -70,7 +64,7 @@ def guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (DiagnosticInconsistencyError, PeriodDetectionError) as exc:
+        except DiagnosticInconsistencyError as exc:
             _fail(exc, 3)
         except (PfkitError, OSError, ValueError) as exc:
             _fail(exc, 2)
@@ -195,8 +189,7 @@ def orbit_cmd(system_file: str, set_spec: str, direction: str, steps: int | None
 def limit_cmd(system_file: str, fmt: str, out: str | None) -> None:
     """Power limit of the transfer operator, if it exists."""
     space, phi, _ = load_system(system_file)
-    matrix = transfer_operator(phi)
-    report = power_sequence(matrix)
+    _, report = transfer_powers(phi)
     if fmt == "csv":
         if report.limit is None:
             raise ParseError("powers do not converge; no limit matrix to export")

@@ -71,11 +71,6 @@ def _coarsest(level: int, mask: int) -> "DyadicSet":
     return DyadicSet(level, mask)
 
 
-def _combine(a: "DyadicSet", b: "DyadicSet", op) -> "DyadicSet":
-    level = max(a.level, b.level)
-    return _coarsest(level, op(_refine(a.mask, a.level, level), _refine(b.mask, b.level, level)))
-
-
 @dataclass(frozen=True)
 class DyadicSet:
     """A finite union of half-open dyadic intervals inside [0, 1).
@@ -132,15 +127,6 @@ class DyadicSet:
     @property
     def measure(self) -> Fraction:
         return Fraction(self.mask.bit_count(), 1 << self.level)
-
-    def union(self, other: "DyadicSet") -> "DyadicSet":
-        return _combine(self, other, int.__or__)
-
-    def intersection(self, other: "DyadicSet") -> "DyadicSet":
-        return _combine(self, other, int.__and__)
-
-    def complement(self) -> "DyadicSet":
-        return DyadicSet(self.level, self.mask ^ ((1 << (1 << self.level)) - 1))
 
     def image(self) -> "DyadicSet":
         """The forward image under doubling: cell j lands on cell j mod half."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Literal
+from typing import Literal
 
 from .errors import NotMeasurePreservingError, OrbitTooLongError
 from .space import (
@@ -149,16 +149,6 @@ class MeasurePreservingMap:
                     out |= 1 << atoms[i + shift - len(atoms)]  # wraps round
         return out
 
-    def image(self, a: MeasurableSet) -> MeasurableSet:
-        """The literal forward image phi(A)."""
-        self.space._require_same(a.space)
-        return MeasurableSet(self.space, self.image_bits(a.bits))
-
-    def preimage(self, a: MeasurableSet) -> MeasurableSet:
-        """The literal preimage phi^-1(A); preserves the measure exactly."""
-        self.space._require_same(a.space)
-        return MeasurableSet(self.space, self.preimage_bits(a.bits))
-
     def iterate_atom(self, atom: int, n: int) -> int:
         for _ in range(n):
             atom = self.targets[atom]
@@ -205,16 +195,6 @@ class SigmaSubAlgebra:
         if list(self.block_bits) != sorted(self.block_bits, key=_lowest_bit):
             raise ValueError("blocks must be ordered by their smallest atom")
 
-    @classmethod
-    def from_blocks(
-        cls, space: FiniteProbabilitySpace, blocks: Iterable[Iterable[int]]
-    ) -> "SigmaSubAlgebra":
-        try:
-            masks = [space.set_from_indices(block).bits for block in blocks]
-        except IndexError as exc:  # an atom index out of range
-            raise ValueError(str(exc)) from None
-        return cls(space, tuple(sorted(masks, key=_lowest_bit)))
-
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """The blocks as increasing tuples of atom indices."""
@@ -227,26 +207,6 @@ class SigmaSubAlgebra:
             for i in block:
                 owner[i] = bi
         return tuple(owner)
-
-    def contains_set(self, a: MeasurableSet) -> bool:
-        """Membership test: A is in the algebra iff it is a union of blocks."""
-        self.space._require_same(a.space)
-        for b in self.block_bits:
-            inter = a.bits & b
-            if inter != 0 and inter != b:
-                return False
-        return True
-
-    def completion(self) -> "SigmaSubAlgebra":
-        """Completion modulo null sets, within the power set.
-
-        A set differs from a member by a null set iff it agrees with a member
-        on the positive support, so the completion is the refinement that
-        splits every null atom into its own singleton block.
-        """
-        nulls = self.space.full_mask & ~self.space.positive_mask
-        blocks = [*self.positive_blocks(), *(1 << i for i in bit_indices(nulls))]
-        return SigmaSubAlgebra(self.space, tuple(sorted(blocks, key=_lowest_bit)))
 
     def positive_blocks(self) -> tuple[int, ...]:
         """Block bitmasks intersected with the positive support, empty ones

@@ -45,10 +45,6 @@ class DyadicValueError(PfkitError):
     """An endpoint is not dyadic, is out of range, or exceeds the level guard."""
 
 
-class PeriodDetectionError(PfkitError):
-    """A power sequence did not revisit a state within the step budget."""
-
-
 class OrbitTooLongError(PfkitError):
     """A set orbit did not repeat within `dynamics.MAX_ORBIT_LENGTH` steps."""
 

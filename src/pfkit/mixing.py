@@ -25,8 +25,11 @@ B moves n mod its cycle length along its cycle of `phi.positive_cycles`.
 The uniform defect builds P^n 1_B = 1_{B_n} from the same B_n and keeps the
 Density arithmetic (difference, positive and negative parts, integrals).
 The dense matrix of `transfer_operator` feeds only the operator routes
-(the classifiers and the witness), which never read the cycles.  `lower_bound_witness(p, b)` takes that matrix rather than the map,
-so `classify` and the prop21 audit build it once per system and pass it to
+(the classifiers and the witness), which never read the cycles.  The
+classifiers take it with its power report from `transfer_powers`, which
+reports a matrix that is not a permutation as a defect of the toolkit.
+`lower_bound_witness(p, b)` takes that matrix rather than the map, so
+`classify` and the prop21 audit build it once per system and pass it to
 every witness call; `power_sequence` keeps its report on the matrix, so
 the powers of one matrix are classified once.
 """
@@ -50,6 +53,7 @@ from .operators import (
     power_sequence,
     rank_one_projection,
     transfer_operator,
+    transfer_powers,
 )
 from .space import (
     ONE,
@@ -103,8 +107,7 @@ def is_mixing(phi: MeasurePreservingMap) -> bool:
     rank-one projection.  Set route: atom-pair correlations converge to the
     product of the masses.
     """
-    p = transfer_operator(phi)
-    report = power_sequence(p)
+    _, report = transfer_powers(phi)
     operator_route = report.converges and report.limit == rank_one_projection(phi.space)
     set_route = _correlations_converge_to_product(phi)
     if operator_route != set_route:
@@ -137,8 +140,7 @@ def is_exact(phi: MeasurePreservingMap) -> bool:
     tail, _ = tail_algebra(phi)
     tail_route = len(tail.positive_blocks()) == 1
 
-    p = transfer_operator(phi)
-    report = power_sequence(p)
+    _, report = transfer_powers(phi)
     operator_route = report.converges and report.limit == rank_one_projection(phi.space)
 
     image_route = _atom_images_fill_space(phi)
@@ -338,7 +340,7 @@ def classify(
 ) -> MixingProfile:
     """Run the full hierarchy with a defect profile for `profile_set`,
     defaulting to the first positive atom."""
-    p = transfer_operator(phi)
+    p, powers = transfer_powers(phi)
     space = phi.space
     if profile_set is None:
         profile_set = space.set_from_indices([space.positive_support[0]])
@@ -352,7 +354,7 @@ def classify(
         ergodic=is_ergodic(phi),
         mixing=is_mixing(phi),
         exact=is_exact(phi),
-        powers_converge=power_sequence(p).converges,
+        powers_converge=powers.converges,
         defects=defects,
         witness=witness,
     )

@@ -3,9 +3,6 @@
 Operators are exact rational matrices over the positive atoms; null atoms
 vanish in L1 and are dropped.  The transfer operator moves mass forward
 through the map, its adjoint composes with the map, and both are bi-Markov.
-Power sequences are detected exactly: for permutation-structured matrices
-the period is the lcm of the cycle lengths, and anything else falls back to
-hashing within MAX_STEPS steps.
 
 This module is the dense oracle route to transfer powers: the matrix of
 `transfer_operator` is assembled from the defining formula and iterated by
@@ -14,6 +11,15 @@ measure preservation makes P permute the positive atoms with unit weights,
 so P^n 1_A is the indicator of phi^n(A inter positive support), read off
 the cycles of the map without arithmetic.  The classifiers and the audits
 keep using the oracle, so that the two routes check each other.
+
+Power sequences are decided for permutation matrices only, which is what
+measure preservation makes every transfer matrix.  The permutation is read
+off the matrix rows by `permutation_structure`, never from the map: M^n
+repeats with period the lcm of the cycle lengths, and M^n f with period
+the lcm, over the cycles, of the least rotation period of f along each
+cycle, both from n = 0.  Nothing is iterated or stored per step.  Any
+other matrix is rejected with a ValueError; `transfer_powers` reports that
+as a defect of the toolkit, since its matrix comes from a validated map.
 
 The oracle is generic exact linear algebra on sparse rows: a `MarkovMatrix`
 stores only the nonzero entries of each row, its dense `entries` are a view
@@ -28,10 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Sequence
+from typing import Iterator
 
 from .dynamics import MeasurePreservingMap, SigmaSubAlgebra
-from .errors import PeriodDetectionError
+from .errors import DiagnosticInconsistencyError
 from .space import (
     ONE,
     ZERO,
@@ -39,8 +45,6 @@ from .space import (
     FiniteProbabilitySpace,
     bit_indices,
 )
-
-MAX_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -54,9 +58,9 @@ class MarkovMatrix:
     The matrix is stored only as `rows`, the nonzero (column, value) pairs
     of each row with columns strictly increasing.  That form is unique, so
     equality and hashing are structural, and a dropped 0 * f[j] term leaves
-    an exact sum unchanged.  `entries` is the dense view, built on demand;
-    `from_entries` builds a matrix from dense rows.  Nothing here reads the
-    map or its cycles, so the matrix stays independent of the cycle route.
+    an exact sum unchanged.  `entries` is the dense view, built on demand.
+    Nothing here reads the map or its cycles, so the matrix stays
+    independent of the cycle route.
     """
 
     space: FiniteProbabilitySpace
@@ -77,17 +81,6 @@ class MarkovMatrix:
                 if not v:
                     raise ValueError(f"row {i}: stored values must be nonzero")
                 prev = j
-
-    @classmethod
-    def from_entries(
-        cls, space: FiniteProbabilitySpace, entries: Sequence[Sequence[Fraction]]
-    ) -> "MarkovMatrix":
-        """The matrix with the given dense d x d rows."""
-        d = len(space.positive_support)
-        if len(entries) != d or any(len(row) != d for row in entries):
-            raise ValueError("matrix shape must match the positive support")
-        rows = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in entries)
-        return cls(space, rows)
 
     @property
     def dimension(self) -> int:
@@ -117,21 +110,6 @@ class MarkovMatrix:
             terms = [fv[j] if v == 1 else v * fv[j] for j, v in row]
             vals.append(sum(terms[1:], terms[0]) if terms else ZERO)
         return Density(self.space, tuple(vals))
-
-    def compose(self, other: "MarkovMatrix") -> "MarkovMatrix":
-        """Matrix product self @ other (apply other first)."""
-        self.space._require_same(other.space)
-        other_rows = other.rows
-        out = []
-        for row in self.rows:
-            acc: dict[int, Fraction] = {}
-            for k, v in row:
-                for j, w in other_rows[k]:
-                    acc[j] = acc.get(j, ZERO) + v * w
-            out.append(tuple(sorted((j, x) for j, x in acc.items() if x)))
-        return MarkovMatrix(self.space, tuple(out))
-
-    __matmul__ = compose
 
     def adjoint(self) -> "MarkovMatrix":
         """The adjoint for the weighted pairing: B[j][i] = w_i A[i][j] / w_j."""
@@ -234,6 +212,7 @@ class LimitReport:
 
     `converges` means the eventual cycle has length one; the stabilized
     value is then `limit` (a matrix or a density, matching the sequence).
+    A permutation's powers are purely periodic, so `preperiod` is 0.
     """
 
     converges: bool
@@ -242,78 +221,85 @@ class LimitReport:
     limit: MarkovMatrix | Density | None
 
 
-def _detect_cycle(first, step, key, max_steps: int) -> tuple[int, int, list]:
-    seen: dict = {}
-    seq = []
-    cur = first
-    for _ in range(max_steps + 1):
-        k = key(cur)
-        if k in seen:
-            pre = seen[k]
-            return pre, len(seq) - pre, seq
-        seen[k] = len(seq)
-        seq.append(cur)
-        cur = step(cur)
-    raise PeriodDetectionError(f"no repeat within {max_steps} steps")
+def _permutation(m: MarkovMatrix) -> tuple[int, ...]:
+    perm = m.permutation_structure()
+    if perm is None:
+        raise ValueError("not a permutation matrix: powers are decided only for permutations")
+    return perm
+
+
+def _cycles(perm: tuple[int, ...]) -> Iterator[list[int]]:
+    """The cycles of a permutation of range(len(perm)), each walked from
+    its smallest index along i -> perm[i]."""
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycle, j = [], start
+        while not seen[j]:
+            seen[j] = True
+            cycle.append(j)
+            j = perm[j]
+        yield cycle
+
+
+def _rotation_period(values: list) -> int:
+    """The least p > 0 with values[k] == values[(k + p) % len(values)] for
+    every k; it divides the length."""
+    n = len(values)
+    return next(p for p in range(1, n + 1) if n % p == 0 and values[p:] + values[:p] == values)
 
 
 def power_sequence(m: MarkovMatrix) -> LimitReport:
-    """Exact eventual periodicity of (M^n) starting from M^0 = I.
+    """Exact periodicity of (M^n) starting from M^0 = I, for a permutation M.
 
-    Permutation-structured matrices get the analytic answer: powers repeat
-    with period lcm(cycle lengths) and no preperiod.  Other matrices are
-    hashed step by step for at most MAX_STEPS steps.  A matrix is immutable,
-    so the report is computed once and kept on it; later calls return the
-    same object.
+    The powers repeat with period lcm(cycle lengths) and no preperiod, and
+    converge, to I, exactly when M is the identity.  A matrix that is not a
+    permutation raises ValueError.  A matrix is immutable, so the report is
+    computed once and kept on it; later calls return the same object.
     """
     return m._powers
 
 
 def _power_sequence(m: MarkovMatrix) -> LimitReport:
-    perm = m.permutation_structure()
-    if perm is not None:
-        period = _permutation_order(perm)
-        converges = period == 1
-        return LimitReport(
-            converges, 0, period, identity_matrix(m.space) if converges else None
-        )
-    ident = identity_matrix(m.space)
-    # the rows are unique per matrix, so they serve as its hash key
-    pre, period, seq = _detect_cycle(ident, lambda x: x @ m, lambda x: x.rows, MAX_STEPS)
+    period = lcm(*map(len, _cycles(_permutation(m))))
     converges = period == 1
-    return LimitReport(converges, pre, period, seq[pre] if converges else None)
+    return LimitReport(
+        converges, 0, period, identity_matrix(m.space) if converges else None
+    )
 
 
-def _permutation_order(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    order = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        order = lcm(order, length)
-    return order
+def transfer_powers(phi: MeasurePreservingMap) -> tuple[MarkovMatrix, LimitReport]:
+    """`transfer_operator(phi)` and the `power_sequence` report of it.
+
+    Measure preservation makes the transfer matrix of a validated map a
+    permutation, so a matrix that `power_sequence` rejects is a defect of
+    the toolkit, raised as DiagnosticInconsistencyError.
+    """
+    p = transfer_operator(phi)
+    try:
+        return p, power_sequence(p)
+    except ValueError as exc:
+        raise DiagnosticInconsistencyError(
+            f"transfer matrix of a measure-preserving map: {exc}"
+        ) from exc
 
 
 def density_power_sequence(m: MarkovMatrix, f: Density) -> LimitReport:
-    """Exact eventual periodicity of (M^n f); may converge when (M^n) does not.
+    """Exact periodicity of (M^n f) for a permutation M; may converge when
+    (M^n) does not.
 
-    A permutation matrix repeats within its order, which may exceed MAX_STEPS.
+    With (Mf)(i) = f(perm[i]), M rotates the values of f along each cycle
+    of the permutation by one place.  So M^n f is purely periodic, its
+    period is the lcm of the least rotation periods of f on the cycles, and
+    it converges, to f, exactly when Mf = f.  A matrix that is not a
+    permutation raises ValueError.
     """
     m.space._require_same(f.space)
-    perm = m.permutation_structure()
-    budget = MAX_STEPS if perm is None else _permutation_order(perm) + 1
-
-    def key(g: Density) -> tuple:
-        return tuple((v.numerator, v.denominator) for v in g.values)
-    pre, period, seq = _detect_cycle(f, m.apply, key, budget)
+    v = f.values
+    period = lcm(*(_rotation_period([v[i] for i in c]) for c in _cycles(_permutation(m))))
     converges = period == 1
-    return LimitReport(converges, pre, period, seq[pre] if converges else None)
+    return LimitReport(converges, 0, period, f if converges else None)
 
 
 def apply_power(m: MarkovMatrix, f: Density, n: int) -> Density:

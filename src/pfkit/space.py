@@ -116,13 +116,6 @@ class FiniteProbabilitySpace:
     def measure_bits(self, bits: int) -> Fraction:
         return Fraction(self.mass_bits(bits), self.common_denominator)
 
-    def measure(self, a: "MeasurableSet") -> Fraction:
-        self._require_same(a.space)
-        return self.measure_bits(a.bits)
-
-    def empty_set(self) -> "MeasurableSet":
-        return MeasurableSet(self, 0)
-
     def full_set(self) -> "MeasurableSet":
         return MeasurableSet(self, self.full_mask)
 
@@ -179,16 +172,6 @@ class MeasurableSet:
         self._check(other)
         return MeasurableSet(self.space, self.bits ^ other.bits)
 
-    def complement(self) -> "MeasurableSet":
-        return MeasurableSet(self.space, self.bits ^ self.space.full_mask)
-
-    def contains_atom(self, index: int) -> bool:
-        return bool(self.bits >> index & 1)
-
-    def is_subset(self, other: "MeasurableSet") -> bool:
-        self._check(other)
-        return self.bits & ~other.bits == 0
-
     def atoms(self) -> Iterator[int]:
         return bit_indices(self.bits)
 
@@ -224,10 +207,6 @@ class MeasureAlgebraClass:
 
     def representative(self) -> MeasurableSet:
         return MeasurableSet(self.space, self.canonical_bits)
-
-    @property
-    def measure(self) -> Fraction:
-        return self.space.measure_bits(self.canonical_bits)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "cls" + repr(self.representative())
@@ -299,9 +278,6 @@ class Density:
             if self.values[k] > 0:
                 bits |= 1 << atom
         return bits
-
-    def is_nonnegative(self) -> bool:
-        return all(v >= 0 for v in self.values)
 
     def min_positive(self) -> Fraction:
         """Smallest strictly positive value; raises on all-zero densities."""

@@ -5,7 +5,9 @@ from hypothesis import settings, strategies as st
 
 from pfkit import (
     FiniteProbabilitySpace,
+    MarkovMatrix,
     MeasurePreservingMap,
+    SigmaSubAlgebra,
     SystemGenerator,
     three_point_system,
     two_atom_swap,
@@ -83,6 +85,33 @@ def inner(f, g):
         (x * y * w[a] for x, y, a in zip(f.values, g.values, f.space.positive_support)),
         Fraction(0),
     )
+
+
+def matrix_from_entries(space, entries):
+    """The matrix with the given dense d x d rows (zeros are not stored)."""
+    rows = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in entries)
+    return MarkovMatrix(space, rows)
+
+
+def algebra_from_blocks(space, blocks):
+    """The algebra whose blocks hold the given atom indices, in any order."""
+    try:
+        masks = [space.set_from_indices(block).bits for block in blocks]
+    except IndexError as exc:  # an atom index out of range
+        raise ValueError(str(exc)) from None
+    return SigmaSubAlgebra(space, tuple(sorted(masks, key=lambda b: b & -b)))
+
+
+def image(phi, a):
+    """The literal forward image phi(A)."""
+    phi.space._require_same(a.space)
+    return phi.space.set_from_bits(phi.image_bits(a.bits))
+
+
+def preimage(phi, a):
+    """The literal preimage phi^-1(A)."""
+    phi.space._require_same(a.space)
+    return phi.space.set_from_bits(phi.preimage_bits(a.bits))
 
 
 def generated_systems(count=40, seed=2024, **kwargs):

@@ -34,7 +34,7 @@ from pfkit import (
 )
 from pfkit.dyadic import image_measure_limit
 
-from conftest import inner
+from conftest import image, inner
 
 F = Fraction
 SEED = 20260814
@@ -55,14 +55,14 @@ def test_criterion_1_fixture_exactness():
 
     current = a12
     for _ in range(8):
-        current = phi.image(current)
+        current = image(phi, current)
         assert current == a13  # exact set equality, not just classes
     report = set_orbit(phi, a12)
     assert report.converges
     assert report.limit_class == a13.algebra_class()
     assert report.limit_class == space.full_set().algebra_class()
     assert minimal_invariant_superset(phi, a12) == space.full_set()
-    assert phi.image(a1) == a1
+    assert image(phi, a1) == a1
     assert a1.algebra_class() != space.full_set().algebra_class()
     assert time.monotonic() - started < 1.0
     _announce(1, "reserved fixture reproduces every claimed identity exactly", started)

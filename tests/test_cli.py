@@ -9,12 +9,12 @@ from click.testing import CliRunner, _NamedTextIOWrapper
 import pfkit
 from pfkit import (
     DiagnosticInconsistencyError,
-    PeriodDetectionError,
+    rank_one_projection,
     save_system,
     three_point_system,
     two_atom_swap,
 )
-from pfkit import cli, dynamics, systemio
+from pfkit import cli, dynamics, operators, systemio
 from pfkit.cli import main
 from pfkit.dyadic import MAX_LEVEL
 from pfkit.ulam import DENSE_MAX_BINS, MAX_BINS, ulam_assemble
@@ -186,7 +186,6 @@ def test_too_many_atoms_is_an_input_error(runner, tmp_path):
     "exc",
     [
         DiagnosticInconsistencyError("routes disagree"),
-        PeriodDetectionError("no repeat"),
         RuntimeError("unexpected"),
     ],
 )
@@ -200,6 +199,19 @@ def test_toolkit_defects_exit_3(runner, system_file, monkeypatch, exc):
     assert result.output.count("\n") == 1
     error = json.loads(result.output)["error"]
     assert error == {"type": type(exc).__name__, "message": str(exc)}
+
+
+@pytest.mark.parametrize("command", ["classify", "limit"])
+def test_a_non_permutation_transfer_matrix_exits_3(runner, system_file, monkeypatch, command):
+    # measure preservation makes every transfer matrix a permutation, so
+    # one that is not is a defect of the toolkit, not of the input
+    monkeypatch.setattr(operators, "transfer_operator", lambda phi: rank_one_projection(phi.space))
+    result = runner.invoke(main, [command, system_file])
+    assert result.exit_code == 3
+    assert result.output.count("\n") == 1
+    error = json.loads(result.output)["error"]
+    assert error["type"] == "DiagnosticInconsistencyError"
+    assert "not a permutation matrix" in error["message"]
 
 
 def test_version(runner):

@@ -85,14 +85,6 @@ def test_measure_and_level():
     assert DyadicSet.empty().measure == 0
 
 
-def test_boolean_operations():
-    a = dset((F(0), HALF))
-    b = dset((QUARTER, F(3, 4)))
-    assert a.intersection(b).intervals == ((QUARTER, HALF),)
-    assert a.union(b).intervals == ((F(0), F(3, 4)),)
-    assert a.complement().intervals == ((HALF, F(1)),)
-
-
 def test_doubling_image_and_preimage():
     a = dset((F(0), QUARTER))
     assert a.image().intervals == ((F(0), HALF),)
@@ -117,7 +109,8 @@ def test_image_measure_never_decreases(a):
 @given(dyadic_sets())
 def test_preimage_of_image_contains_set(a):
     back = a.image().preimage()
-    assert back.intersection(a).measure == a.measure
+    level = max(a.level, back.level)
+    assert set(a.cell_indices(level)) <= set(back.cell_indices(level))
 
 
 def test_step_function_normalizes_to_minimal_level():
@@ -277,28 +270,6 @@ def oracle_measure(ivs):
     return sum((b - a for a, b in ivs), F(0))
 
 
-def oracle_intersection(ivs, others):
-    out = []
-    for a, b in ivs:
-        for c, d in others:
-            lo, hi = max(a, c), min(b, d)
-            if lo < hi:
-                out.append((lo, hi))
-    return oracle_normalize(out)
-
-
-def oracle_complement(ivs):
-    out = []
-    cursor = F(0)
-    for a, b in ivs:
-        if cursor < a:
-            out.append((cursor, a))
-        cursor = b
-    if cursor < 1:
-        out.append((cursor, F(1)))
-    return tuple(out)
-
-
 def oracle_image(ivs):
     out = []
     for a, b in ivs:
@@ -368,9 +339,7 @@ def test_masks_match_the_interval_oracle(pairs, other_pairs):
     a, b = DyadicSet.from_pairs(pairs), DyadicSet.from_pairs(other_pairs)
     ivs, others = oracle_normalize(pairs), oracle_normalize(other_pairs)
     assert_matches_oracle(a, ivs)
-    assert_matches_oracle(a.union(b), oracle_normalize(ivs + others))
-    assert_matches_oracle(a.intersection(b), oracle_intersection(ivs, others))
-    assert_matches_oracle(a.complement(), oracle_complement(ivs))
+    assert_matches_oracle(b, others)
     assert_matches_oracle(a.image(), oracle_image(ivs))
     assert_matches_oracle(a.preimage(), oracle_preimage(ivs))
     assert (a == b) == (ivs == others)

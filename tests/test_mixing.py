@@ -35,7 +35,7 @@ from pfkit import dynamics, mixing, operators
 from pfkit.cli import main
 from pfkit.systemio import write_profile_csv
 
-from conftest import PRIME_CYCLES, cycle_starts, cycle_system, systems
+from conftest import PRIME_CYCLES, cycle_starts, cycle_system, preimage, systems
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -106,7 +106,7 @@ def test_lower_bound_defect_worked_example(three_point):
 
 def _iterated_preimage(phi, a, n):
     for _ in range(n):
-        a = phi.preimage(a)
+        a = preimage(phi, a)
     return a
 
 

@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -6,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from pfkit import (
     Density,
+    LimitReport,
     MarkovMatrix,
     MeasurePreservingMap,
     SystemGenerator,
@@ -15,6 +18,7 @@ from pfkit import (
     density_power_sequence,
     fixed_space_dimension,
     identity_matrix,
+    identity_system,
     indicator,
     invariant_algebra,
     koopman_operator,
@@ -25,9 +29,36 @@ from pfkit import (
     two_atom_swap,
 )
 
-from conftest import inner, spaces, systems
+from conftest import (
+    PRIME_CYCLES,
+    algebra_from_blocks,
+    cycle_starts,
+    cycle_system,
+    inner,
+    matrix_from_entries,
+    spaces,
+    systems,
+)
 
 HALF = Fraction(1, 2)
+
+
+def _product(a, b):
+    """The matrix product a @ b (apply b first), from the dense entries."""
+    return matrix_from_entries(a.space, _dense_compose(a, b))
+
+
+def _hashed_density_powers(m, f):
+    """Oracle of `density_power_sequence`: apply M step by step until a
+    density repeats, keeping every iterate."""
+    seen, seq = {}, []
+    while f.values not in seen:
+        seen[f.values] = len(seq)
+        seq.append(f)
+        f = m.apply(f)
+    pre = seen[f.values]
+    period = len(seq) - pre
+    return LimitReport(period == 1, pre, period, seq[pre] if period == 1 else None)
 
 
 def test_transfer_operator_is_identity_here(three_point):
@@ -88,7 +119,7 @@ def test_duality_on_indicators(system, data):
 def test_matrix_composition(swap):
     space, phi = swap
     p = transfer_operator(phi)
-    assert p @ p == identity_matrix(space)
+    assert _product(p, p) == identity_matrix(space)
     a, b = (indicator(space, space.set_of([x])) for x in "ab")
     assert apply_power(p, a, 3) == b
     assert phi.positive_image_bits(space.set_of(["a"]).bits, 3) == space.set_of(["b"]).bits
@@ -108,8 +139,6 @@ def test_power_sequence_is_kept_on_the_matrix(swap):
     assert power_sequence(p) is power_sequence(p)
     # an equal but distinct matrix gets its own, equal report
     assert power_sequence(transfer_operator(phi)) == power_sequence(p)
-    proj = rank_one_projection(phi.space)
-    assert power_sequence(proj) is power_sequence(proj)
 
 
 def test_power_sequence_swap_diverges(swap):
@@ -120,13 +149,17 @@ def test_power_sequence_swap_diverges(swap):
     assert report.limit is None
 
 
-def test_rank_one_projection_is_idempotent_limit():
-    space, phi = two_atom_swap()
+def test_powers_of_a_non_permutation_raise():
+    # the projection is idempotent, so its powers converge, but only
+    # permutation matrices are decided
+    space, _ = two_atom_swap()
     proj = rank_one_projection(space)
-    assert proj @ proj == proj
-    report = power_sequence(proj)
-    assert report.converges and report.preperiod == 1 and report.period == 1
-    assert report.limit == proj
+    assert _product(proj, proj) == proj
+    f = indicator(space, space.set_of(["a"]))
+    with pytest.raises(ValueError, match="not a permutation matrix"):
+        power_sequence(proj)
+    with pytest.raises(ValueError, match="not a permutation matrix"):
+        density_power_sequence(proj, f)
 
 
 @given(systems())
@@ -141,7 +174,7 @@ def test_permutation_fast_path_matches_hashing(system):
     n = 0
     while p_key(current) not in seen:
         seen[p_key(current)] = n
-        current = current @ p
+        current = _product(current, p)
         n += 1
     first = seen[p_key(current)]
     assert report.preperiod == first
@@ -157,7 +190,7 @@ def test_permutation_structure_needs_unit_entries(swap):
     zero, one = Fraction(0), Fraction(1)
 
     def structure(entries):
-        return MarkovMatrix.from_entries(space, entries).permutation_structure()
+        return matrix_from_entries(space, entries).permutation_structure()
 
     assert structure(((zero, one), (one, zero))) == (1, 0)
     # a single nonzero that is not 1
@@ -199,6 +232,73 @@ def test_density_power_sequence(swap):
     assert density_power_sequence(p, g).converges
 
 
+def test_density_period_can_be_shorter_than_the_cycle():
+    space, phi = cycle_system((4,))
+    p = transfer_operator(phi)
+    f = indicator(space, space.set_from_indices([0, 2]))
+    assert density_power_sequence(p, f) == LimitReport(False, 0, 2, None)
+    assert power_sequence(p).period == 4
+    full = indicator(space, space.full_set())
+    assert density_power_sequence(p, full) == LimitReport(True, 0, 1, full)
+
+
+def test_density_period_of_the_prime_cycles_is_read_off_the_rows():
+    # the period is 510,510: the walk of the oracle would hold that many
+    # densities, so only the cycle rule can answer in time
+    lengths = PRIME_CYCLES + (17,)
+    space, phi = cycle_system(lengths)
+    p = transfer_operator(phi)
+    f = indicator(space, space.set_from_bits(cycle_starts(lengths)))
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        report = density_power_sequence(p, f)
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report == LimitReport(False, 0, 510_510, None)
+    assert elapsed < 0.1
+    assert peak < 1 << 20
+
+
+@st.composite
+def periodic_indicators(draw):
+    """A cycle system and the indicator of a set that repeats along each
+    cycle with a drawn divisor of its length, often a proper one."""
+    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    space, phi = cycle_system(tuple(lengths))
+    bits, start = 0, 0
+    for length in lengths:
+        step = draw(st.sampled_from([q for q in range(1, length + 1) if length % q == 0]))
+        pattern = draw(st.lists(st.booleans(), min_size=step, max_size=step))
+        for i in range(length):
+            bits |= pattern[i % step] << (start + i)
+        start += length
+    return phi, indicator(space, space.set_from_bits(bits))
+
+
+@st.composite
+def random_densities(draw):
+    """A generated system with a random set's indicator or random values."""
+    space, phi = draw(systems(max_positive=8))
+    d = len(space.positive_support)
+    if draw(st.booleans()):
+        a = space.set_from_bits(draw(st.integers(0, space.full_mask)))
+        return phi, indicator(space, a)
+    values = st.sampled_from([Fraction(0), HALF, Fraction(1)])
+    return phi, Density(space, tuple(draw(st.lists(values, min_size=d, max_size=d))))
+
+
+@given(st.one_of(periodic_indicators(), random_densities()))
+def test_density_powers_match_the_hash_oracle(case):
+    phi, f = case
+    p = transfer_operator(phi)
+    report = density_power_sequence(p, f)
+    assert report == _hashed_density_powers(p, f)
+    assert power_sequence(p).period % report.period == 0
+
+
 def test_conditional_expectation(three_point):
     space, phi = three_point
     alg = invariant_algebra(phi)
@@ -211,9 +311,7 @@ def test_conditional_expectation(three_point):
 
 def test_conditional_expectation_averages_blocks(swap):
     space, phi = swap
-    from pfkit import SigmaSubAlgebra
-
-    whole = SigmaSubAlgebra.from_blocks(space, [(0, 1)])
+    whole = algebra_from_blocks(space, [(0, 1)])
     f = indicator(space, space.set_of(["a"]))
     assert conditional_expectation(space, whole, f) == constant_density(space, HALF)
 
@@ -280,7 +378,7 @@ def rational_matrices(draw, space):
             for i in range(d):
                 for j in range(d):
                     rows[i][j] += u[i] * v[j]
-    return MarkovMatrix.from_entries(space, tuple(tuple(row) for row in rows))
+    return matrix_from_entries(space, tuple(tuple(row) for row in rows))
 
 
 @given(spaces(max_positive=8).flatmap(rational_matrices))
@@ -351,21 +449,22 @@ def test_sparse_kernels_match_the_dense_formulas(system, data):
     m = data.draw(rational_matrices(space))
     proj = rank_one_projection(space)
     p = transfer_operator(phi)
-    cases = [m, proj, proj @ p, p @ proj, proj @ m]
-    for a, b in zip(cases, cases[1:] + cases[:1]):
-        assert MarkovMatrix.from_entries(space, a.entries) == a
+    cases = [m, proj, _product(proj, p), _product(p, proj), _product(proj, m)]
+    for a in cases:
+        assert matrix_from_entries(space, a.entries) == a
         values = data.draw(st.lists(_sparse_fractions, min_size=d, max_size=d))
         f = Density(space, tuple(values))
         assert a.apply(f).values == _dense_apply(a, f)
         assert a.adjoint().entries == _dense_adjoint(a)
         assert a.is_bimarkov() == _dense_is_bimarkov(a)
-        assert (a @ b).entries == _dense_compose(a, b)
-        assert (b @ a).entries == _dense_compose(b, a)
-    assert proj.is_bimarkov() and (proj @ p).is_bimarkov()
+    assert proj.is_bimarkov() and _product(proj, p).is_bimarkov()
 
 
 def test_oracle_route_never_reads_the_cycles(monkeypatch):
     generated = [SystemGenerator(11, max_positive_atoms=16).system(i) for i in range(40)]
+    generated.append(identity_system(5))
+    kinds = {transfer_operator(phi).is_identity for _, phi in generated}
+    assert kinds == {True, False}  # the density route runs on both kinds
 
     def forbidden(*args):
         raise AssertionError("the oracle route read the cycle route")
@@ -375,10 +474,11 @@ def test_oracle_route_never_reads_the_cycles(monkeypatch):
     for space, phi in generated:
         p = transfer_operator(phi)
         t = koopman_operator(phi)
-        assert p.is_bimarkov() and p.adjoint() == t and (p @ t).is_identity
+        assert p.is_bimarkov() and p.adjoint() == t and _product(p, t).is_identity
         b = space.set_from_indices([space.positive_support[0]])
         f = indicator(space, b)
-        assert density_power_sequence(p, f).period <= power_sequence(p).period
+        for g in (f, indicator(space, space.full_set()), p.apply(f) + f):
+            assert density_power_sequence(p, g) == _hashed_density_powers(p, g)
         assert fixed_space_dimension(p) == _dense_fixed_space_dimension(p)
         assert (lower_bound_witness(p, b) is not None) == power_sequence(p).converges
 
@@ -394,9 +494,6 @@ def test_fixed_space_dimension(three_point, swap):
 def test_matrix_shape_validation(swap):
     space, _ = swap
     one = Fraction(1)
-    for entries in [((HALF, HALF),), ((HALF, HALF), (one,)), ((HALF, HALF, HALF),) * 2]:
-        with pytest.raises(ValueError):
-            MarkovMatrix.from_entries(space, entries)
     # the stored rows: (column, value) pairs, columns increasing, values nonzero
     for rows, message in [
         ((((0, one),),), "shape"),  # one row for two positive atoms
@@ -409,6 +506,6 @@ def test_matrix_shape_validation(swap):
     ]:
         with pytest.raises(ValueError, match=message):
             MarkovMatrix(space, rows)
-    lopsided = MarkovMatrix.from_entries(space, ((HALF, HALF), (one, one)))
+    lopsided = matrix_from_entries(space, ((HALF, HALF), (one, one)))
     assert lopsided.rows == (((0, HALF), (1, HALF)), ((0, one), (1, one)))
     assert not lopsided.is_bimarkov()
