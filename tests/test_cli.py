@@ -186,6 +186,7 @@ def test_too_many_atoms_is_an_input_error(runner, tmp_path):
     "exc",
     [
         DiagnosticInconsistencyError("routes disagree"),
+        IndexError("list index out of range"),
         RuntimeError("unexpected"),
     ],
 )
