@@ -275,11 +275,10 @@ class _BitSystem:
 
     The walk of an atom follows `phi.targets` until it repeats.  All walks
     come from one pass over the functional graph, and they deliberately
-    avoid `iterate_atom`, `positive_cycles`, `set_orbit` and
-    `preimage_algebra`, since those are the production routes the audits
-    check them against.  Cycle masks, n-step preimage fibers and the orbit
-    encodings are derived from the walks; masses and masks are read off the
-    space.
+    avoid `positive_cycles`, `set_orbit` and `tail_algebra`, since those
+    are the production routes the audits check them against.  Cycle masks,
+    n-step preimage fibers and the orbit encodings are derived from the
+    walks; masses and masks are read off the space.
     """
 
     def __init__(self, space: FiniteProbabilitySpace, phi: MeasurePreservingMap):

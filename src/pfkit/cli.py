@@ -8,6 +8,7 @@ the toolkit itself exits 3, both with a one-line JSON error object.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from contextlib import contextmanager
 from functools import wraps
@@ -303,7 +304,7 @@ def dyadic_cmd(set_spec: str, kind: str, n_max: int | None, out: str | None) -> 
 @click.option("--alpha", default=None, help="Rotation angle as a rational, e.g. 1/3.")
 @click.option("--target-bins", default=None, help="Half-open bin range lo:hi for the profile target.")
 @click.option("--n-max", default=64, show_default=True, help=f"0 to {MAX_N_MAX}.")
-@click.option("--tol", default=1e-9, show_default=True)
+@click.option("--tol", default=1e-9, show_default=True, help="Finite and positive.")
 @click.option("--matrix-out", default=None, type=click.Path(dir_okay=False))
 @guarded
 def ulam_cmd(
@@ -317,6 +318,8 @@ def ulam_cmd(
 ) -> None:
     """Assemble a bin-transition matrix and report its mixing verdict."""
     _check_range("--n-max", n_max, 0, MAX_N_MAX)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParseError(f"--tol must be finite and positive, got {tol}")
     alpha_value = parse_fraction(alpha) if alpha is not None else None
     model = ul.ulam_assemble(kind, bins, alpha=alpha_value)
     if target_bins is None:

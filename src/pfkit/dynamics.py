@@ -8,9 +8,9 @@ cached on first use, and `positive_image_bits` reads phi^n on the positive
 atoms from them for any n.
 
 Sub-sigma-algebras of a finite power set are in bijection with partitions
-of the atoms, so the lattice operations here (invariant algebra, preimage
-algebras, their stabilized tail, completions modulo null sets) are all
-partition computations.  A partition is stored as one atom bitmask per
+of the atoms, so the lattice operations here (invariant algebra, the
+stabilized tail of the preimage algebras, completions modulo null sets) are
+all partition computations.  A partition is stored as one atom bitmask per
 block, and those computations OR, AND and compare the masks.
 """
 
@@ -149,11 +149,6 @@ class MeasurePreservingMap:
                     out |= 1 << atoms[i + shift - len(atoms)]  # wraps round
         return out
 
-    def iterate_atom(self, atom: int, n: int) -> int:
-        for _ in range(n):
-            atom = self.targets[atom]
-        return atom
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         arrows = ", ".join(
             f"{self.space.atom_labels[x]}->{self.space.atom_labels[y]}"
@@ -254,31 +249,28 @@ def invariant_algebra(phi: MeasurePreservingMap) -> SigmaSubAlgebra:
     return SigmaSubAlgebra(phi.space, tuple(groups.values()))
 
 
-def preimage_algebra(phi: MeasurePreservingMap, n: int) -> SigmaSubAlgebra:
-    """The algebra {phi^-n(A)}: the partition into fibers of the n-fold map."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    fibers: dict[int, int] = {}
-    for x in range(phi.space.atom_count):
-        y = phi.iterate_atom(x, n)
-        fibers[y] = fibers.get(y, 0) | 1 << x
-    return SigmaSubAlgebra(phi.space, tuple(fibers.values()))
-
-
 def tail_algebra(phi: MeasurePreservingMap) -> tuple[SigmaSubAlgebra, int]:
-    """The stabilized decreasing chain of preimage algebras.
+    """The stabilized decreasing chain of preimage algebras {phi^-n(A)}.
 
-    The chain loses blocks exactly while the forward range shrinks, so it
-    stabilizes in at most atom-count steps; two equal consecutive terms stay
-    equal forever after.  Returns (algebra, index at which it stabilized).
+    The n-th term is the partition into fibers of phi^n, one block per point
+    of phi^n(X).  Fibers of phi^(n+1) are unions of fibers of phi^n, so two
+    consecutive terms are equal exactly when phi^n(X) and phi^(n+1)(X) have
+    equal size, and then stay equal.  One pass advances phi^n(x) for every
+    atom x, O(d) per step.  Returns (algebra, index at which it stabilized).
     """
-    prev = preimage_algebra(phi, 0)
-    for n in range(1, phi.space.atom_count + 2):
-        cur = preimage_algebra(phi, n)
-        if cur.block_bits == prev.block_bits:
-            return prev, n - 1
-        prev = cur
-    raise AssertionError("preimage chain failed to stabilize within the bound")
+    targets = phi.targets
+    points = list(range(len(targets)))  # phi^n(x) for every atom x
+    size, n = len(points), 0
+    while True:
+        nxt = [targets[y] for y in points]
+        nxt_size = len(set(nxt))
+        if nxt_size == size:
+            break
+        points, size, n = nxt, nxt_size, n + 1
+    fibers: dict[int, int] = {}  # first seen in atom order: canonical order
+    for x, y in enumerate(points):
+        fibers[y] = fibers.get(y, 0) | 1 << x
+    return SigmaSubAlgebra(phi.space, tuple(fibers.values())), n
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,7 @@ def _preimages(
     if kind == "rotation":
         if alpha is None:
             raise PfkitError("rotation requires alpha")
-        shift = alpha % 1.0
+        shift = float(alpha % 1)  # exact for a Fraction, so a huge one cannot overflow
         p, q = c - shift, d - shift
         return [(np.maximum(lo, 0.0), np.minimum(hi, 1.0)) for lo, hi in ((p, q), (p + 1.0, q + 1.0))]
     if kind == "custom":

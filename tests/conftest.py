@@ -121,6 +121,9 @@ def generated_systems(count=40, seed=2024, **kwargs):
 
 PRIME_CYCLES = (2, 3, 5, 7, 11, 13)
 
+# The generator bounds of the sampled audit workload.
+SAMPLED_BOUNDS = {"max_positive_atoms": 16, "max_null_atoms": 4, "mass_denominator_bound": 48}
+
 
 def cycle_system(lengths, null_targets=()):
     """Equal-mass atoms on cycles of the given lengths (atoms numbered

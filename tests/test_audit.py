@@ -33,9 +33,7 @@ from pfkit.audit import (
     _worker_count,
 )
 
-from conftest import cycle_system
-
-SAMPLED_BOUNDS = {"max_positive_atoms": 16, "max_null_atoms": 4, "mass_denominator_bound": 48}
+from conftest import SAMPLED_BOUNDS, cycle_system
 
 
 def test_splitmix_reference_stream():
@@ -326,7 +324,7 @@ def test_bit_system_walks_match_the_per_atom_oracle(monkeypatch):
         raise AssertionError("the audit's own walks read a production route")
 
     monkeypatch.setattr(audit_module, "set_orbit", production_route)
-    monkeypatch.setattr(MeasurePreservingMap, "iterate_atom", production_route)
+    monkeypatch.setattr(audit_module, "tail_algebra", production_route)
     monkeypatch.setattr(MeasurePreservingMap, "positive_cycles", property(production_route))
     for space, phi in population:
         bs = _BitSystem(space, phi)

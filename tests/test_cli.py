@@ -2,6 +2,8 @@ import csv
 import gc
 import io
 import json
+import time
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner, _NamedTextIOWrapper
@@ -9,6 +11,8 @@ from click.testing import CliRunner, _NamedTextIOWrapper
 import pfkit
 from pfkit import (
     DiagnosticInconsistencyError,
+    FiniteProbabilitySpace,
+    MeasurePreservingMap,
     rank_one_projection,
     save_system,
     three_point_system,
@@ -182,6 +186,15 @@ def test_too_many_atoms_is_an_input_error(runner, tmp_path):
     assert str(systemio.MAX_ATOMS) in error["message"]
 
 
+def test_deeply_nested_json_is_an_input_error(runner, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    result = runner.invoke(main, ["classify", str(deep)])
+    assert result.exit_code == 2
+    assert result.output.count("\n") == 1
+    assert json.loads(result.output)["error"]["type"] == "ParseError"
+
+
 @pytest.mark.parametrize(
     "exc",
     [
@@ -277,6 +290,30 @@ def test_ulam_verdicts(runner):
         ],
     )
     assert json.loads(result.output)["verdict"] == "non-mixing"
+
+
+def _ulam_doc(runner, *args):
+    result = runner.invoke(main, ["ulam", "--map", "rotation", "--bins", "8", *args])
+    assert result.exit_code == 0, result.output
+    return json.loads(result.output)
+
+
+def test_ulam_reduces_a_huge_alpha_exactly(runner):
+    # a 400-digit integer is no float, but modulo 1 it is the rotation by 0
+    huge = _ulam_doc(runner, "--alpha", str(10**399 + 7))
+    assert huge["profile"] == _ulam_doc(runner, "--alpha", "0")["profile"]
+    assert huge["verdict"] == "non-mixing"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+def test_ulam_tolerance_must_be_finite_and_positive(runner, monkeypatch, tol):
+    monkeypatch.setattr(cli.ul, "ulam_assemble", _refuse)
+    result = runner.invoke(main, ["ulam", "--map", "doubling", "--bins", "16", "--tol", tol])
+    assert result.exit_code == 2
+    assert len(result.output.splitlines()) == 1
+    error = json.loads(result.output)["error"]
+    assert error["type"] == "ParseError"
+    assert "--tol" in error["message"]
 
 
 def test_ulam_matrix_export(runner, tmp_path):
@@ -450,6 +487,70 @@ def test_defaults_sit_inside_the_caps(runner, system_file):
         assert 0 <= default <= cli.MAX_N_MAX
     count = next(p.default for p in cli.audit_cmd.params if p.name == "count")
     assert 1 <= count <= cli.MAX_AUDIT_COUNT
+
+
+# Worst cases at the atom cap, one per command.  Each bound is about three
+# times the time measured through CliRunner on a 2-vCPU host, except two: the
+# null chain's is the 1 s gate of the tail algebra, and none is below 0.1 s,
+# where a garbage collection pause alone can take the time measured.
+
+
+def _timed(runner, argv):
+    start = time.perf_counter()
+    result = runner.invoke(main, argv)
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 0, result.output
+    return result.output, elapsed
+
+
+def _saved(tmp_path, system, named=None):
+    path = tmp_path / "system.json"
+    save_system(path, *system, named)
+    return str(path)
+
+
+def test_a_null_chain_at_the_atom_cap_classifies_in_under_a_second(runner, tmp_path):
+    # one positive fixed point and a chain of null atoms ending in it: the
+    # tail algebra stabilizes only after MAX_ATOMS - 1 steps
+    k = systemio.MAX_ATOMS
+    space = FiniteProbabilitySpace.from_masses([Fraction(1)] + [Fraction(0)] * (k - 1))
+    path = _saved(tmp_path, (space, MeasurePreservingMap(space, (0, *range(k - 1)))))
+    output, elapsed = _timed(runner, ["classify", path])
+    doc = json.loads(output)
+    assert (doc["ergodic"], doc["mixing"], doc["exact"], doc["powers_converge"]) == (True,) * 4
+    assert elapsed < 1.0  # measured 0.23 s; 34 s before the one-pass tail algebra
+
+
+@pytest.mark.parametrize(("command", "bound"), [("classify", 0.6), ("limit", 0.1)])
+def test_one_cycle_at_the_atom_cap(runner, tmp_path, command, bound):
+    path = _saved(tmp_path, cycle_system((systemio.MAX_ATOMS,)))
+    output, elapsed = _timed(runner, [command, path])
+    doc = json.loads(output)
+    if command == "classify":
+        assert (doc["ergodic"], doc["mixing"], doc["powers_converge"]) == (True, False, False)
+    else:
+        assert (doc["converges"], doc["period"]) == (False, systemio.MAX_ATOMS)
+    assert elapsed < bound  # measured 0.2 s for classify, 0.015 s for limit
+
+
+def test_fixed_atoms_at_the_atom_cap_write_the_dense_limit(runner, tmp_path):
+    k = systemio.MAX_ATOMS
+    path = _saved(tmp_path, cycle_system((1,) * k))
+    output, elapsed = _timed(runner, ["limit", path, "--format", "json"])
+    doc = json.loads(output)
+    assert doc["converges"] and len(doc["limit"]) == k
+    assert doc["limit"][5] == ["1" if j == 5 else "0" for j in range(k)]
+    assert elapsed < 2.0  # measured 0.65 s
+
+
+def test_prime_cycles_orbit_at_the_step_cap(runner, tmp_path):
+    lengths = PRIME_CYCLES + (17,)  # 58 atoms; the orbit of B has length 510,510
+    space, phi = cycle_system(lengths)
+    path = _saved(tmp_path, (space, phi), {"B": space.set_from_bits(cycle_starts(lengths))})
+    argv = ["orbit", path, "--set", "B", "--steps", str(cli.MAX_ORBIT_STEPS)]
+    output, elapsed = _timed(runner, argv)
+    assert output.count("\n") == cli.MAX_ORBIT_STEPS + 2
+    assert elapsed < 5.0  # measured 1.7 s
 
 
 def _live_stdout_wrappers() -> int:

@@ -9,11 +9,11 @@ from pfkit import (
     NotMeasurePreservingError,
     OrbitTooLongError,
     SigmaSubAlgebra,
+    SystemGenerator,
     completions_equal,
     identity_system,
     invariant_algebra,
     minimal_invariant_superset,
-    preimage_algebra,
     set_orbit,
     single_atom_with_nulls,
     tail_algebra,
@@ -23,6 +23,7 @@ from pfkit import dynamics
 
 from conftest import (
     PRIME_CYCLES,
+    SAMPLED_BOUNDS,
     algebra_from_blocks,
     cycle_starts,
     cycle_system,
@@ -102,7 +103,7 @@ def test_image_and_preimage(three_point):
     assert sorted(image(phi, a12).labels()) == ["1", "3"]
     assert sorted(preimage(phi, space.set_of(["3"])).labels()) == ["2", "3"]
     assert preimage(phi, space.set_of(["2"])).measure == 0
-    assert phi.iterate_atom(space.atom_index("2"), 5) == space.atom_index("3")
+    assert _iterate_atom(phi, space.atom_index("2"), 5) == space.atom_index("3")
 
 
 @given(systems(), st.data())
@@ -285,6 +286,34 @@ def test_invariant_algebra_blocks(three_point):
     assert alg.blocks == ((0,), (1, 2))
 
 
+def _iterate_atom(phi, atom, n):
+    for _ in range(n):
+        atom = phi.targets[atom]
+    return atom
+
+
+def preimage_algebra(phi, n):
+    """The algebra {phi^-n(A)}: the partition into fibers of the n-fold map,
+    each atom walked n steps on its own."""
+    fibers = {}
+    for x in range(phi.space.atom_count):
+        y = _iterate_atom(phi, x, n)
+        fibers[y] = fibers.get(y, 0) | 1 << x
+    return SigmaSubAlgebra(phi.space, tuple(fibers.values()))
+
+
+def looped_tail_algebra(phi):
+    """The oracle of `tail_algebra`: preimage algebras built one by one
+    until two consecutive ones agree."""
+    prev = preimage_algebra(phi, 0)
+    for n in range(1, phi.space.atom_count + 2):
+        cur = preimage_algebra(phi, n)
+        if cur.block_bits == prev.block_bits:
+            return prev, n - 1
+        prev = cur
+    raise AssertionError("preimage chain failed to stabilize within the bound")
+
+
 def test_preimage_algebra_chain(three_point):
     space, phi = three_point
     assert preimage_algebra(phi, 0).blocks == ((0,), (1,), (2,))
@@ -314,6 +343,75 @@ def test_tail_of_invertible_map_is_discrete(swap):
     tail, index = tail_algebra(phi)
     assert tail.blocks == ((0,), (1,))
     assert index == 0
+
+
+@st.composite
+def null_trees(draw, max_nulls=40):
+    """Equal-mass positive atoms on cycles with up to `max_nulls` null atoms
+    hanging off them.  A null atom mostly maps to the null atom drawn just
+    before it, so long chains are common, but it may also map to any atom
+    (null cycles included).  Atoms are then shuffled, so the chains do not
+    follow the atom order."""
+    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    k, m = sum(lengths), draw(st.integers(0, max_nulls))
+    targets = list(cycle_system(lengths)[1].targets)
+    for j in range(k, k + m):
+        targets.append(
+            draw(st.one_of(st.just(j - 1), st.integers(0, j - 1), st.integers(0, k + m - 1)))
+        )
+    order = draw(st.permutations(range(k + m)))  # atom x becomes order[x]
+    masses = [Fraction(0)] * (k + m)
+    shuffled = [0] * (k + m)
+    for x, y in enumerate(targets):
+        masses[order[x]] = Fraction(1, k) if x < k else Fraction(0)
+        shuffled[order[x]] = order[y]
+    space = FiniteProbabilitySpace.from_masses(masses)
+    return space, MeasurePreservingMap(space, tuple(shuffled))
+
+
+@given(st.one_of(null_trees(), systems()))
+def test_tail_algebra_matches_the_looped_oracle(system):
+    _, phi = system
+    assert tail_algebra(phi) == looped_tail_algebra(phi)
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [SystemGenerator(20260814), SystemGenerator(7), SystemGenerator(20260814, **SAMPLED_BOUNDS)],
+    ids=["default", "seed-7", "sampled"],
+)
+def test_tail_algebra_matches_the_looped_oracle_on_pinned_systems(gen):
+    indices = set()
+    for _, phi in gen.systems(0, 1000):
+        tail = tail_algebra(phi)
+        assert tail == looped_tail_algebra(phi)
+        indices.add(tail[1])
+    assert len(indices) > 1
+
+
+def test_tail_of_a_null_chain_stabilizes_at_its_length():
+    """One positive fixed point with a chain of null atoms ending in it."""
+    k = 300
+    space = FiniteProbabilitySpace.from_masses([Fraction(1)] + [Fraction(0)] * (k - 1))
+    phi = MeasurePreservingMap(space, (0, *range(k - 1)))
+    tail, index = tail_algebra(phi)
+    assert index == k - 1
+    assert tail.block_bits == (space.full_mask,)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the tail route read another route")
+
+
+@given(st.one_of(null_trees(), systems()))
+def test_tail_route_reads_no_other_route(system):
+    _, phi = system
+    expected = looped_tail_algebra(phi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MeasurePreservingMap, "positive_cycles", property(_refuse))
+        mp.setattr(dynamics, "set_orbit", _refuse)
+        mp.setattr(dynamics, "invariant_algebra", _refuse)
+        assert tail_algebra(phi) == expected
 
 
 def test_completion_splits_null_atoms(three_point):
