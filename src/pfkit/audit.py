@@ -273,12 +273,12 @@ def _mass_table(per_atom: Sequence[int]) -> np.ndarray:
 class _BitSystem:
     """The audit's own route to one system's dynamics: per-atom forward walks.
 
-    The walk of an atom follows `phi.targets` until it repeats.  All walks
-    come from one pass over the functional graph, and they deliberately
-    avoid `positive_cycles`, `set_orbit` and `tail_algebra`, since those
-    are the production routes the audits check them against.  Cycle masks,
-    n-step preimage fibers and the orbit encodings are derived from the
-    walks; masses and masks are read off the space.
+    The walk of an atom follows `phi.targets` until it reaches an atom
+    already on the walk; that atom starts its cycle.  The walks deliberately
+    avoid `positive_cycles`, `set_orbit` and `tail_algebra`, since those are
+    the production routes the audits check them against.  n-step preimage
+    fibers and the orbit encodings are derived from the walks; masses and
+    masks are read off the space.
     """
 
     def __init__(self, space: FiniteProbabilitySpace, phi: MeasurePreservingMap):
@@ -288,60 +288,21 @@ class _BitSystem:
         self.posmask = space.positive_mask
         self.full = space.full_mask
 
-        # Follow each atom not yet walked until the path meets itself (a new
-        # cycle: every path atom from the meeting point on walks one
-        # rotation of it) or an atom already walked.  Each atom before that
-        # point walks the rest of the path, then the walk of the atom met.
-        # Fixed points, about half the atoms of a generated system, walk
-        # only themselves.
-        targets = phi.targets
-        pres = [0] * self.k
-        cycles = [1] * self.k
-        walks: list = [None] * self.k
-        step = [-1] * self.k  # position on the path that reached the atom
+        self.atom_pre, self.atom_cycle, self.atom_walk = [], [], []
         for a in range(self.k):
-            if walks[a] is not None:
-                continue
-            step[a] = 0
-            x = targets[a]
-            if x == a:
-                walks[a] = [a]
-                continue
-            path = [a]
-            while step[x] < 0:
-                step[x] = len(path)
-                path.append(x)
-                x = targets[x]
-            end = len(path)
-            if walks[x] is None:
-                end = step[x]
-                length = len(path) - end
-                loop = path[end:] * 2
-                for i in range(length):
-                    walks[loop[i]] = loop[i : i + length]
-                    cycles[loop[i]] = length
-                x = path[end]
-            rest, pre, length = walks[x], pres[x], cycles[x]
-            for i in range(end):
-                walks[path[i]] = path[i:end] + rest
-                pres[path[i]] = end - i + pre
-                cycles[path[i]] = length
-        self.atom_pre = pres
-        self.atom_cycle = cycles
-        self.atom_walk = walks
-        self.joint_pre = max(pres)
+            seen: dict[int, int] = {}  # walk position of each atom reached
+            walk, x = [], a
+            while x not in seen:
+                seen[x] = len(walk)
+                walk.append(x)
+                x = phi.targets[x]
+            self.atom_pre.append(seen[x])
+            self.atom_cycle.append(len(walk) - seen[x])
+            self.atom_walk.append(walk)
+        self.joint_pre = max(self.atom_pre)
         self.joint_period = 1
-        for length in cycles:
+        for length in self.atom_cycle:
             self.joint_period = lcm(self.joint_period, length)
-
-    @cached_property
-    def cycle_masks(self) -> set[int]:
-        # positive atoms are permuted, so the walk of one is its whole cycle
-        return {
-            sum(1 << x for x in walk)
-            for a, walk in enumerate(self.atom_walk)
-            if self.posmask >> a & 1
-        }
 
     @cached_property
     def subsets(self) -> np.ndarray:
@@ -578,7 +539,7 @@ def _audit_lower_bound_one(index: int, system: System, rec: _Recorder, rng: Spli
     # i.e. when B contains a full permutation cycle of positive atoms.
     # Every B of positive measure holds one exactly when every positive
     # singleton does, i.e. when every positive atom is a fixed point.
-    route_witness = all((1 << a) in bs.cycle_masks for a in space.positive_support)
+    route_witness = all(bs.atom_cycle[a] == 1 for a in space.positive_support)
     if route_witness != conv:
         rec.fail(
             index, "witness-route", f"cycle-route={route_witness} powers={conv}"
@@ -752,37 +713,22 @@ def _audit_image_one(index: int, system: System, rec: _Recorder, rng: SplitMix64
 
     # forward image measures never decrease: A sits in the preimage of its
     # image.  Once the image repeats, every later step repeats a checked
-    # one, so a walk stops after the step that closes the cycle.  Starts
-    # share their walks: `to_loss[S]` is the number of steps from S to the
-    # first step that loses mass, or None if none can be reached.  Only a
-    # walk that closed (on a loss, a repeat or a set already known) is
-    # recorded, and a start fails iff its loss lies within the step bound.
-    bound = bs.joint_pre + bs.joint_period + 1
-    to_loss: dict[int, int | None] = {}
+    # one, so each start walks until the step that closes its cycle, and
+    # at most joint_pre + joint_period + 1 steps.
     for a_bits in _sample_subsets(rng, bs.full, 8) + [1 << a for a in range(bs.k)]:
-        if a_bits not in to_loss:
-            path = {a_bits: 0}  # each set of the walk, with its step
-            prev = space.mass_bits(a_bits)
-            cur = a_bits
-            for step in range(1, bound + 1):
-                cur = phi.image_bits(cur)
-                m_cur = space.mass_bits(cur)
-                if m_cur < prev:
-                    rest = 0
-                elif cur in to_loss:
-                    rest = to_loss[cur]
-                elif cur in path:
-                    rest = None
-                else:
-                    path[cur] = step
-                    prev = m_cur
-                    continue
-                for s, i in path.items():
-                    to_loss[s] = None if rest is None else step - i + rest
+        prev = space.mass_bits(a_bits)
+        cur = a_bits
+        seen = {cur}
+        for _ in range(bs.joint_pre + bs.joint_period + 1):
+            cur = phi.image_bits(cur)
+            m_cur = space.mass_bits(cur)
+            if m_cur < prev:
+                rec.fail(index, "image-monotone", f"A={a_bits:#x}")
                 break
-        steps = to_loss.get(a_bits)
-        if steps is not None and steps <= bound:
-            rec.fail(index, "image-monotone", f"A={a_bits:#x}")
+            if cur in seen:
+                break
+            seen.add(cur)
+            prev = m_cur
 
     # defect limit vanishes for every atom orbit iff the system is exact
     route = True

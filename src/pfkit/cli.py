@@ -13,6 +13,7 @@ import sys
 from contextlib import contextmanager
 from functools import wraps
 from pathlib import Path
+from types import SimpleNamespace
 
 import click
 
@@ -103,12 +104,17 @@ def _check_range(option: str, value: int | None, low: int, high: int) -> None:
 
 @contextmanager
 def _output(out: str | None):
-    """The file named by --out, closed afterwards, or stdout when unset."""
+    """A sink for one table's text, written to the file named by --out, or
+    to stdout when unset, only once the table is complete.  A failure while
+    formatting leaves stdout to the JSON error and creates no file.  The
+    text is kept as the pieces written, never joined into one string."""
+    pieces: list[str] = []
+    yield SimpleNamespace(write=pieces.append)
     if not out:
-        yield sys.stdout
+        sys.stdout.writelines(pieces)
         return
     with Path(out).open("w", newline="") as handle:
-        yield handle
+        handle.writelines(pieces)
 
 
 @click.group()
@@ -172,14 +178,17 @@ def orbit_cmd(system_file: str, set_spec: str, direction: str, steps: int | None
     total = steps if steps is not None else report.preperiod + report.period
     limit = report.limit_class if report is not None else None
     step = phi.image_bits if direction == "forward" else phi.preimage_bits
-    rows, bits = [], start.bits
-    for n in range(total + 1):
-        s = space.set_from_bits(bits)
-        dist = None if limit is None else class_distance(s.algebra_class(), limit)
-        rows.append((n, sorted(s.labels()), s.measure, dist))
-        bits = step(bits)
+
+    def rows():
+        bits = start.bits
+        for n in range(total + 1):
+            s = space.set_from_bits(bits)
+            dist = None if limit is None else class_distance(s.algebra_class(), limit)
+            yield n, sorted(s.labels()), s.measure, dist
+            bits = step(bits)
+
     with _output(out) as handle:
-        write_orbit_csv(handle, rows)
+        write_orbit_csv(handle, rows())
 
 
 @main.command("limit")

@@ -14,6 +14,7 @@ import hashlib
 import json
 from fractions import Fraction
 from importlib import resources
+from math import lcm
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -27,11 +28,21 @@ SCHEMA_VERSION = "1"
 # requests at this cap, on a 2-vCPU host: `orbit --steps 100000` on a
 # 1,024-atom set, about 140 s and 0.8 GB (extrapolated); `classify --set
 # --n-max 1024` on one cycle, 17 s; dense `limit --format json`, 0.65 s.
+# Exact numbers are bounded too: see MAX_DENOMINATOR_BITS.
 MAX_ATOMS = 1024
+
+# Bits of the common denominator q of a system's masses, checked as it is
+# accumulated mass by mass, and of the numerator and denominator of every
+# parsed rational, such as `mixing-profile --c`.  Every printed fraction then
+# has a numerator and denominator of at most about 2 * 4096 bits (q^2, or
+# r * q for a level with denominator r), some 2,470 digits: within
+# CPython's 4,300-digit limit on converting an int to text.
+MAX_DENOMINATOR_BITS = 4096
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse an exact rational written as 'p/q' or 'p'. Floats are refused."""
+    """Parse an exact rational written as 'p/q' or 'p'. Floats are refused,
+    and so are a numerator or denominator above MAX_DENOMINATOR_BITS bits."""
     if not isinstance(text, str):
         raise ParseError(f"expected a rational string, got {text!r}")
     try:
@@ -40,6 +51,8 @@ def parse_fraction(text: str) -> Fraction:
         raise ParseError(f"not a rational: {text!r}") from exc
     if "." in text or "e" in text.lower():
         raise ParseError(f"masses must be exact rationals, got {text!r}")
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_DENOMINATOR_BITS:
+        raise ParseError(f"rationals may have at most {MAX_DENOMINATOR_BITS}-bit numerators and denominators")
     return value
 
 
@@ -88,9 +101,14 @@ def system_from_dict(
         raise ParseError(f"a system may have at most {MAX_ATOMS} atoms, got {len(atoms)}")
     if not all(isinstance(a, str) for a in atoms):
         raise ParseError("atom labels must be strings")
-    masses = tuple(parse_fraction(m) for m in masses_raw)
+    masses, q = [], 1
+    for text in masses_raw:
+        masses.append(parse_fraction(text))
+        q = lcm(q, masses[-1].denominator)
+        if q.bit_length() > MAX_DENOMINATOR_BITS:
+            raise ParseError(f"the common denominator of the masses exceeds {MAX_DENOMINATOR_BITS} bits")
     try:
-        space = FiniteProbabilitySpace(tuple(atoms), masses)
+        space = FiniteProbabilitySpace(tuple(atoms), tuple(masses))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     index = {label: i for i, label in enumerate(atoms)}

@@ -605,3 +605,104 @@ def test_orbit_out_file(runner, system_file, tmp_path):
     )
     assert result.exit_code == 0
     assert out.read_text().startswith("n,set,measure,d_to_limit")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mixing-profile", "{file}", "--set", "A1", "--n-max", "4"],
+        ["orbit", "{file}", "--set", "A12", "--steps", "4"],
+        ["limit", "{file}", "--format", "csv"],
+        ["dyadic", "--set", "0:1/4"],
+    ],
+    ids=["mixing-profile", "orbit", "limit", "dyadic"],
+)
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_a_table_or_its_error_never_both(runner, tmp_path, monkeypatch, argv, to_file):
+    space, phi = cycle_system((1, 1, 1))
+    path = _saved(tmp_path, (space, phi), {"A1": space.set_from_indices([0]), "A12": space.set_from_indices([0, 1])})
+    calls = []
+
+    def failing_third(value):
+        calls.append(value)
+        if len(calls) == 3:
+            raise ValueError("cannot format")
+        return str(value)
+
+    monkeypatch.setattr(systemio, "format_fraction", failing_third)
+    out = tmp_path / "table.csv"
+    argv = [a.replace("{file}", path) for a in argv] + (["--out", str(out)] if to_file else [])
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert json.loads(result.output) == {
+        "schema_version": "1",
+        "error": {"type": "ValueError", "message": "cannot format"},
+    }
+    assert not out.exists()
+
+
+def _pairs_file(tmp_path, denominators):
+    """A system of one pair of atoms per denominator P, with masses 1/(K P)
+    and (P - 1)/(K P) for K pairs, each atom mapped to itself."""
+    k = len(denominators)
+    masses = []
+    for p in denominators:
+        masses += [f"1/{k * p}", f"{p - 1}/{k * p}"]
+    labels = [f"a{i}" for i in range(len(masses))]
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({"atoms": labels, "masses": masses, "map": labels}))
+    return str(path)
+
+
+def _input_error(result):
+    assert result.exit_code == 2
+    assert result.output.count("\n") == 1
+    error = json.loads(result.output)["error"]
+    assert error["type"] == "ParseError"
+    return error["message"]
+
+
+def test_a_common_denominator_above_the_cap_exits_2_at_once(runner, tmp_path):
+    # 1,024 atoms with denominators near 10^4000, an 8 MB file: the first
+    # mass is refused, before the space or its integer masses are built
+    path = _pairs_file(tmp_path, [10**4000 + i for i in range(systemio.MAX_ATOMS // 2)])
+    start = time.perf_counter()
+    message = _input_error(runner.invoke(main, ["classify", path]))
+    assert time.perf_counter() - start < 1.0
+    assert str(systemio.MAX_DENOMINATOR_BITS) in message
+
+
+def test_the_lcm_of_masses_under_the_cap_is_capped(runner, tmp_path):
+    # each mass fits in the cap, but their common denominator does not
+    path = _pairs_file(tmp_path, [2**1400 + 1, 3**900, 5**600, 7**500])
+    message = _input_error(runner.invoke(main, ["classify", path]))
+    assert "common denominator" in message
+
+
+def test_every_command_prints_at_the_denominator_cap(runner, tmp_path):
+    # q and c at the cap: the largest printed fractions are the uniform
+    # defects over q^2 and the lower-bound defects over r * q
+    q = 2**systemio.MAX_DENOMINATOR_BITS - 1
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps({"atoms": ["a", "b"], "masses": [f"1/{q}", f"{q - 1}/{q}"], "map": ["a", "b"]}))
+    c = f"{2**systemio.MAX_DENOMINATOR_BITS - 3}/{2**systemio.MAX_DENOMINATOR_BITS - 5}"
+    for argv in (
+        ["classify", str(path), "--set", "a"],
+        ["mixing-profile", str(path), "--set", "a", "--kind", "lower", "--trace", "a,b", "--c", c, "--n-max", "1"],
+        ["limit", str(path), "--format", "csv"],
+    ):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output[:200]
+    too_big = f"1/{2**systemio.MAX_DENOMINATOR_BITS}"
+    argv = ["mixing-profile", str(path), "--set", "a", "--kind", "lower", "--trace", "a", "--c", too_big]
+    assert str(systemio.MAX_DENOMINATOR_BITS) in _input_error(runner.invoke(main, argv))
+
+
+def test_a_huge_lower_bound_level_is_an_input_error(runner, tmp_path):
+    # q near 10^30 and a level with 4,299 digits: the lower-bound defects
+    # would exceed CPython's limit on printing an int
+    q = 10**30
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"atoms": ["a", "b", "c"], "masses": [f"1/{q}", f"{q // 2 - 1}/{q}", "1/2"], "map": ["a", "b", "c"]}))
+    argv = ["mixing-profile", str(path), "--set", "a", "--kind", "lower", "--trace", "a,b", "--c", "1/" + "9" * 4299]
+    assert str(systemio.MAX_DENOMINATOR_BITS) in _input_error(runner.invoke(main, argv))

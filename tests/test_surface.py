@@ -5,7 +5,8 @@ in the package, must be used by the package itself or by a demo; a
 function that only tests call belongs in the tests.  Names are read from
 the syntax trees of `src/pfkit/*.py` (without `__init__.py`, which only
 re-exports) and `demos/*.py`.  Neither those modules nor the tests may
-import a name they never use.
+import a name they never use.  Private names, which no caller outside the
+package reaches, must be read inside the package itself.
 """
 
 import ast
@@ -141,3 +142,47 @@ def test_no_module_imports_a_name_it_never_uses():
                     if bound not in used:
                         unused.append(f"{path.parent.name}/{path.name}: {bound}")
     assert unused == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree):
+    """Module-level private functions, classes and constants, private
+    methods, and every method of a private class, by name."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Assign):
+            found |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            found.add(node.target.id)
+    found = set(filter(_private, found))
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            found |= {
+                item.name
+                for item in cls.body
+                if isinstance(item, ast.FunctionDef)
+                and not item.name.endswith("__")
+                and (_private(cls.name) or _private(item.name))
+            }
+    return found
+
+
+def _names_read(tree):
+    """Identifiers loaded as a name or read as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_private_name_is_read_in_the_package():
+    trees = [_tree(p) for p in MODULES]
+    read = set().union(*map(_names_read, trees))
+    defined = set().union(*map(_private_definitions, trees))
+    assert sorted(defined - read) == []
